@@ -8,6 +8,7 @@ Status XSchedule::Open() {
   producer_done_ = false;
   ready_.clear();
   ready_set_.clear();
+  not_ready_.clear();
   deferred_.clear();
   deferred_set_.clear();
   seeding_ = false;
@@ -22,7 +23,10 @@ Status XSchedule::Close() {
 }
 
 void XSchedule::MarkReady(PageId page) {
-  if (ready_set_.insert(page).second) ready_.push_back(page);
+  if (ready_set_.insert(page).second) {
+    ready_.push_back(page);
+    not_ready_.erase(page);
+  }
 }
 
 Status XSchedule::Enqueue(const PathInstance& inst) {
@@ -30,6 +34,7 @@ Status XSchedule::Enqueue(const PathInstance& inst) {
   db_->clock()->ChargeCpu(db_->costs().set_op);
   q_[cluster].push_back(inst);
   ++q_size_;
+  if (ready_set_.count(cluster) == 0) not_ready_.insert(cluster);
   return SchedulePrefetch(cluster);
 }
 
@@ -106,9 +111,10 @@ Result<bool> XSchedule::SwitchToNextCluster() {
       // A sibling query's wait may already have installed clusters we
       // queued (completions are delivered to whichever query blocks
       // first); pick those up instead of blocking on our own prefetches.
-      for (const auto& [page, entries] : q_) {
-        if (!entries.empty() && ready_set_.count(page) == 0 &&
-            db_->buffer()->IsResident(TranslateToPhysical(
+      // Probe in ascending page order, the order of q_ itself.
+      for (auto it = not_ready_.begin(); it != not_ready_.end();) {
+        const PageId page = *it++;  // MarkReady erases `page`
+        if (db_->buffer()->IsResident(TranslateToPhysical(
                 shared_->cluster.translator(), page))) {
           MarkReady(page);
         }
@@ -121,6 +127,7 @@ Result<bool> XSchedule::SwitchToNextCluster() {
       ready_set_.erase(page);
       auto it = q_.find(page);
       if (it == q_.end() || it->second.empty()) continue;  // stale marker
+      not_ready_.insert(page);
       NAVPATH_RETURN_NOT_OK(shared_->cluster.Switch(page));
       NAVPATH_TRACE(db_->tracer(),
                     Instant(TraceCategory::kScheduler, kTrackScheduler,
@@ -232,6 +239,7 @@ Result<bool> XSchedule::Next(PathInstance* out) {
           *out = it->second.front();
           it->second.pop_front();
           --q_size_;
+          if (it->second.empty()) not_ready_.erase(it->first);
           db_->clock()->ChargeCpu(db_->costs().instance_op);
           return true;
         }

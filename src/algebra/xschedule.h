@@ -23,6 +23,7 @@
 
 #include <deque>
 #include <map>
+#include <set>
 #include <unordered_set>
 
 #include "algebra/operator.h"
@@ -85,6 +86,9 @@ class XSchedule : public PathOperator {
 
   std::deque<PageId> ready_;
   std::unordered_set<PageId> ready_set_;
+  // Clusters with queued work that are not in ready_set_, in page order:
+  // the only candidates the cooperative readiness sweep has to probe.
+  std::set<PageId> not_ready_;
 
   // Prefetches held back by options_.max_inflight, in submission order.
   std::deque<PageId> deferred_;

@@ -299,6 +299,7 @@ Result<BufferManager::PrefetchOutcome> BufferManager::Prefetch(
       // A different query already has this page on order: register
       // interest on the existing request instead of double-submitting.
       owners.push_back(owner);
+      ++pending_by_owner_[owner];
       ++metrics_->requests_merged;
     }
     // An urgent interest makes the whole merged request urgent.
@@ -307,25 +308,26 @@ Result<BufferManager::PrefetchOutcome> BufferManager::Prefetch(
   }
   NAVPATH_RETURN_NOT_OK(disk_->SubmitRead(id, priority));
   in_flight_.emplace(id, std::vector<std::uint32_t>{owner});
+  ++pending_by_owner_[owner];
   return PrefetchOutcome::kSubmitted;
 }
 
-bool BufferManager::ClaimedByQuery(PageId id) const {
-  const auto it = in_flight_.find(id);
-  if (it == in_flight_.end()) return false;
-  for (const std::uint32_t owner : it->second) {
-    if (owner != 0) return true;
-  }
-  return false;
+std::size_t BufferManager::PendingFor(std::uint32_t owner) const {
+  const auto it = pending_by_owner_.find(owner);
+  return it == pending_by_owner_.end() ? 0 : it->second;
 }
 
-std::size_t BufferManager::PendingFor(std::uint32_t owner) const {
-  std::size_t n = 0;
-  for (const auto& [page, owners] : in_flight_) {
-    (void)page;
-    if (std::find(owners.begin(), owners.end(), owner) != owners.end()) ++n;
+bool BufferManager::RetireInFlight(PageId id) {
+  const auto it = in_flight_.find(id);
+  if (it == in_flight_.end()) return false;
+  bool claimed = false;
+  for (const std::uint32_t owner : it->second) {
+    claimed = claimed || owner != 0;
+    const auto pending = pending_by_owner_.find(owner);
+    if (--pending->second == 0) pending_by_owner_.erase(pending);
   }
-  return n;
+  in_flight_.erase(it);
+  return claimed;
 }
 
 Result<PageId> BufferManager::WaitAnyPrefetch() {
@@ -339,8 +341,7 @@ Result<PageId> BufferManager::WaitAnyPrefetch() {
                               "prefetch_wait", wait_begin, clock_->now(),
                               {{"page", completion.page}}));
   const PageId id = completion.page;
-  const bool claim = ClaimedByQuery(id);
-  in_flight_.erase(id);
+  const bool claim = RetireInFlight(id);
   if (!completion.io.ok() || !VerifyChecksum(id, scratch_.get())) {
     // The asynchronous read failed or delivered a bad image: degrade to a
     // synchronous re-read (with retries) so one lost completion does not
@@ -362,8 +363,7 @@ Result<PageId> BufferManager::PollAnyPrefetch() {
       disk_->PollCompletion(scratch_.get());
   if (!completion.has_value()) return kInvalidPageId;
   const PageId id = completion->page;
-  const bool claim = ClaimedByQuery(id);
-  in_flight_.erase(id);
+  const bool claim = RetireInFlight(id);
   if (!completion->io.ok() || !VerifyChecksum(id, scratch_.get())) {
     if (completion->io.ok()) ++metrics_->corruptions_detected;
     ++metrics_->fault_fallbacks;

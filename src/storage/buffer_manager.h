@@ -138,13 +138,8 @@ class BufferManager {
   bool HasPrefetchInFlight() const { return !in_flight_.empty(); }
 
   /// Number of in-flight prefetched pages `owner` registered interest in
-  /// (workload scheduling policies pick queries by this).
+  /// (workload scheduling policies pick queries by this). O(1).
   std::size_t PendingFor(std::uint32_t owner) const;
-
-  /// True if any non-standalone owner (!= 0) has interest in the
-  /// in-flight page `id` (such pages are eviction-protected after
-  /// installation until first fixed).
-  bool ClaimedByQuery(PageId id) const;
 
   /// Blocks until some prefetch completes, installs the page in a frame,
   /// and returns its id. The page is NOT pinned; callers Fix() it next
@@ -235,6 +230,12 @@ class BufferManager {
   /// bounded retry/backoff for transient errors and transient corruption.
   Status ReadPageWithRetry(PageId id, std::byte* out);
 
+  /// Removes `id` from in_flight_ once its completion is delivered,
+  /// releasing each interested owner's pending count. Returns true if any
+  /// query (owner != 0) had interest in it: such pages are
+  /// eviction-protected after installation until first fixed.
+  bool RetireInFlight(PageId id);
+
   /// Write-back of `data` as page `id` (checksum computed here, end to
   /// end) with bounded retry/backoff for transient write errors.
   Status WritePageWithRetry(PageId id, const std::byte* data);
@@ -255,6 +256,9 @@ class BufferManager {
   // In-flight prefetches, each with the owners interested in the page
   // (small vectors: a handful of concurrent queries at most).
   std::unordered_map<PageId, std::vector<std::uint32_t>> in_flight_;
+  // Per owner, the number of in_flight_ entries listing it (PendingFor);
+  // owners with none are erased.
+  std::unordered_map<std::uint32_t, std::size_t> pending_by_owner_;
   std::size_t aux_reserved_ = 0;  // page-equivalents held outside frames
   std::function<void(PageId)> unpin_listener_;
   std::uint64_t use_counter_ = 0;

@@ -50,6 +50,7 @@ class Reader {
     return true;
   }
   bool exhausted() const { return left_ == 0; }
+  std::size_t left() const { return left_; }
 
  private:
   const unsigned char* p_;
@@ -457,6 +458,13 @@ Result<std::unique_ptr<PathSummary>> PathSummary::Decode(const void* data,
     return Status::Corruption("path summary header truncated");
   }
   if (count == 0) return Status::Corruption("path summary has no nodes");
+  // Bound untrusted counts by the bytes left before reserving: a node
+  // record is at least kMinNodeBytes, an extent exactly kExtentBytes.
+  constexpr std::size_t kMinNodeBytes = 4 + 1 + 4 + 8 + 4;
+  constexpr std::size_t kExtentBytes = 4 + 4;
+  if (count > reader.left() / kMinNodeBytes) {
+    return Status::Corruption("path summary node count exceeds its bytes");
+  }
   summary->nodes_.reserve(count);
   std::uint64_t instance_sum = 0;
   for (std::uint32_t i = 0; i < count; ++i) {
@@ -476,6 +484,9 @@ Result<std::unique_ptr<PathSummary>> PathSummary::Decode(const void* data,
     // (and only the root) has no parent.
     if (i == 0 ? node.parent != kNoParent : node.parent >= i) {
       return Status::Corruption("path summary parent link out of order");
+    }
+    if (extent_count > reader.left() / kExtentBytes) {
+      return Status::Corruption("path summary extent count exceeds its bytes");
     }
     node.extents.reserve(extent_count);
     for (std::uint32_t e = 0; e < extent_count; ++e) {

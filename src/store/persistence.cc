@@ -127,6 +127,14 @@ Result<LoadedDatabase> LoadDatabase(const std::string& path,
                                     DatabaseOptions options) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IOError("cannot open for reading: " + path);
+  // Length fields are bounded by the bytes the file actually holds, so a
+  // damaged length cannot drive a huge allocation.
+  in.seekg(0, std::ios::end);
+  const std::streamoff file_size = in.tellg();
+  in.seekg(0, std::ios::beg);
+  if (!in || file_size < 0) {
+    return Status::IOError("cannot size for reading: " + path);
+  }
 
   char magic[4];
   in.read(magic, sizeof(magic));
@@ -184,7 +192,8 @@ Result<LoadedDatabase> LoadDatabase(const std::string& path,
     }
     if (has_summary == 1) {
       std::uint64_t len = 0;
-      if (!ReadU64(in, &len) || len > (1ull << 31)) {
+      if (!ReadU64(in, &len) || len > (1ull << 31) ||
+          len > static_cast<std::uint64_t>(file_size - in.tellg())) {
         return Status::Corruption("bad summary block length");
       }
       std::string encoded(len, '\0');

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <memory>
 
+#include "algebra/xschedule.h"
 #include "compiler/executor.h"
 #include "tests/test_util.h"
 #include "xml/parser.h"
@@ -101,6 +102,92 @@ TEST(XScheduleTest, NonSpeculativeRevisitsClusters) {
   // Speculation's purpose: no cluster is visited twice (Sec. 5.4.4).
   EXPECT_LT(on->metrics.clusters_visited, off->metrics.clusters_visited);
   EXPECT_GT(on->metrics.speculative_instances, 0u);
+}
+
+// Hands XSchedule a fixed list of instances.
+class ScriptedProducer : public PathOperator {
+ public:
+  explicit ScriptedProducer(std::vector<PathInstance> items)
+      : items_(std::move(items)) {}
+
+  Status Open() override {
+    next_ = 0;
+    return Status::OK();
+  }
+  Result<bool> Next(PathInstance* out) override {
+    if (next_ == items_.size()) return false;
+    *out = items_[next_++];
+    return true;
+  }
+  Status Close() override { return Status::OK(); }
+
+ private:
+  std::vector<PathInstance> items_;
+  std::size_t next_ = 0;
+};
+
+TEST(XScheduleTest, CooperativeSwitchEntersClusterASiblingInstalled) {
+  AlgebraFixture f(706);
+  ASSERT_TRUE(f.db.buffer()->InvalidateAll().ok());
+  ASSERT_GE(f.doc.page_count(), 2u);
+  const PageId p = f.doc.first_page;
+  const PageId r = f.doc.last_page;
+  const auto context_in = [](PageId page) {
+    return PathInstance::Context(NodeID{page, 0}, 0);
+  };
+
+  PlanSharedState shared_a(&f.db);
+  shared_a.owner_id = 1;
+  shared_a.cooperative = true;
+  shared_a.yield_on_block = true;
+  PlanSharedState shared_b(&f.db);
+  shared_b.owner_id = 2;
+  shared_b.cooperative = true;
+  ScriptedProducer producer_a({context_in(p)});
+  ScriptedProducer producer_b({context_in(p)});
+  XSchedule a(&f.db, &shared_a, &producer_a, XScheduleOptions{});
+  XSchedule b(&f.db, &shared_b, &producer_b, XScheduleOptions{});
+  ASSERT_TRUE(a.Open().ok());
+  ASSERT_TRUE(b.Open().ok());
+
+  // A queues p and submits its read; nothing is due yet, so A yields.
+  PathInstance inst;
+  auto pulled = a.Next(&inst);
+  ASSERT_TRUE(pulled.ok());
+  EXPECT_FALSE(*pulled);
+  EXPECT_TRUE(shared_a.yielded);
+  EXPECT_EQ(shared_a.io_yields, 1u);
+  shared_a.yielded = false;
+
+  // B's interest in p merges onto A's request; B's blocking wait installs
+  // p and B enters it.
+  pulled = b.Next(&inst);
+  ASSERT_TRUE(pulled.ok());
+  ASSERT_TRUE(*pulled);
+  EXPECT_EQ(shared_b.io_blocks, 1u);
+  ASSERT_TRUE(f.db.buffer()->IsResident(p));
+
+  // A also queues r, whose read is still in flight: a poll would find
+  // nothing due and yield, a block would wait for r. A's switch must
+  // instead enter the resident p directly.
+  ASSERT_TRUE(a.AddWork(context_in(r)).ok());
+  const std::uint64_t entered = a.clusters_entered();
+  pulled = a.Next(&inst);
+  ASSERT_TRUE(pulled.ok());
+  ASSERT_TRUE(*pulled);
+  EXPECT_EQ(inst.right.node.page, p);
+  EXPECT_EQ(shared_a.cluster.page(), p);
+  EXPECT_EQ(a.clusters_entered(), entered + 1);
+  EXPECT_FALSE(shared_a.yielded);
+  EXPECT_EQ(shared_a.io_yields, 1u);
+  EXPECT_EQ(shared_a.io_blocks, 0u);
+  EXPECT_TRUE(f.db.buffer()->HasPrefetchInFlight());  // r not collected
+
+  ASSERT_TRUE(a.Close().ok());
+  ASSERT_TRUE(b.Close().ok());
+  while (f.db.buffer()->HasPrefetchInFlight()) {
+    ASSERT_TRUE(f.db.buffer()->WaitAnyPrefetch().ok());
+  }
 }
 
 TEST(XScanTest, ReadsEveryPageExactlyOnceSequentially) {

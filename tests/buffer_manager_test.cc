@@ -1,10 +1,13 @@
 // Unit tests for the buffer manager: pinning, LRU eviction, write-back,
-// prefetch, swizzle accounting.
+// prefetch, per-owner pending counts, swizzle accounting.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
+#include <set>
 
 #include "storage/buffer_manager.h"
+#include "storage/fault_injector.h"
 
 namespace navpath {
 namespace {
@@ -156,6 +159,84 @@ TEST(BufferManagerTest, PrefetchLifecycle) {
   auto o4 = f.bm.Prefetch(a);
   ASSERT_TRUE(o4.ok());
   EXPECT_EQ(*o4, BufferManager::PrefetchOutcome::kResident);
+}
+
+// PendingFor is a counter maintained on every in-flight change; at each
+// step of a scripted sequence it must equal a brute-force count over the
+// requests still in flight.
+TEST(BufferManagerTest, PendingForMatchesBruteForceCount) {
+  BufferFixture f(16);
+  std::vector<PageId> pages;
+  for (std::uint8_t i = 1; i <= 5; ++i) pages.push_back(f.NewDiskPage(i));
+  const PageId bad = f.NewDiskPage(0xEE);
+  FaultInjectorOptions faults;
+  faults.permanent_bad_pages = {bad};
+  FaultInjector injector(faults);
+  f.disk.SetFaultInjector(&injector);
+
+  std::map<PageId, std::set<std::uint32_t>> in_flight;  // page -> owners
+  auto expect_counts = [&](const std::string& step) {
+    for (std::uint32_t owner = 0; owner < 4; ++owner) {
+      std::size_t n = 0;
+      for (const auto& entry : in_flight) n += entry.second.count(owner);
+      EXPECT_EQ(f.bm.PendingFor(owner), n) << step << ", owner " << owner;
+    }
+    EXPECT_EQ(f.bm.HasPrefetchInFlight(), !in_flight.empty()) << step;
+  };
+  auto prefetch = [&](PageId page, std::uint32_t owner) {
+    auto outcome = f.bm.Prefetch(page, owner);
+    ASSERT_TRUE(outcome.ok());
+    if (*outcome != BufferManager::PrefetchOutcome::kResident) {
+      in_flight[page].insert(owner);
+    }
+    expect_counts("prefetch of page " + std::to_string(page));
+  };
+  auto retire = [&](PageId page, const std::string& step) {
+    in_flight.erase(page);
+    expect_counts(step + " of page " + std::to_string(page));
+  };
+
+  prefetch(pages[0], 1);  // submit
+  prefetch(pages[0], 2);  // cross-owner merge
+  prefetch(pages[0], 1);  // same-owner repeat
+  prefetch(pages[1], 2);
+  prefetch(pages[2], 0);
+  prefetch(pages[3], 3);
+  prefetch(pages[3], 1);
+  EXPECT_EQ(f.metrics.requests_merged, 2u);
+
+  // Completions, first collected by a poll once due, then by waits.
+  f.clock.WaitUntil(f.clock.now() + kSimSecond);
+  auto polled = f.bm.PollAnyPrefetch();
+  ASSERT_TRUE(polled.ok());
+  ASSERT_NE(*polled, kInvalidPageId);
+  retire(*polled, "poll");
+  while (!in_flight.empty()) {
+    auto done = f.bm.WaitAnyPrefetch();
+    ASSERT_TRUE(done.ok());
+    retire(*done, "wait");
+  }
+  prefetch(pages[0], 3);  // resident now: no request, no count
+
+  // A corrupted completion falls back to a synchronous re-read. On a
+  // permanently bad page that fails too, and the merged request must
+  // still be released for both owners.
+  prefetch(bad, 1);
+  prefetch(bad, 2);
+  prefetch(pages[4], 2);
+  std::size_t failed = 0;
+  while (!in_flight.empty()) {
+    auto done = f.bm.WaitAnyPrefetch();
+    if (done.ok()) {
+      retire(*done, "wait");
+    } else {
+      EXPECT_TRUE(done.status().IsCorruption()) << done.status().ToString();
+      ++failed;
+      retire(bad, "failed fallback");
+    }
+  }
+  EXPECT_EQ(failed, 1u);
+  EXPECT_EQ(f.metrics.fault_fallbacks, 1u);
 }
 
 TEST(BufferManagerTest, InvalidateAllDropsCleanly) {

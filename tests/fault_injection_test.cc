@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "common/random.h"
 #include "compiler/executor.h"
 #include "storage/checksum.h"
 #include "storage/fault_injector.h"
@@ -29,6 +30,8 @@ TEST(ChecksumTest, KnownAnswer) {
   const char digits[] = "123456789";
   EXPECT_EQ(Crc32c(reinterpret_cast<const std::byte*>(digits), 9),
             0xE3069283u);
+  EXPECT_EQ(Crc32cPortable(reinterpret_cast<const std::byte*>(digits), 9),
+            0xE3069283u);
 }
 
 TEST(ChecksumTest, ChainsAcrossCalls) {
@@ -45,6 +48,58 @@ TEST(ChecksumTest, DetectsSingleBitFlip) {
   const std::uint32_t clean = Crc32c(page.data(), page.size());
   page[317] ^= std::byte{0x04};
   EXPECT_NE(Crc32c(page.data(), page.size()), clean);
+}
+
+// Bit-at-a-time CRC32C straight from the polynomial: the reference both
+// implementations are checked against.
+std::uint32_t ReferenceCrc32c(const std::byte* data, std::size_t n,
+                              std::uint32_t init) {
+  std::uint32_t crc = ~init;
+  for (std::size_t i = 0; i < n; ++i) {
+    crc ^= static_cast<std::uint32_t>(data[i]);
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1) ? (crc >> 1) ^ 0x82F63B78u : crc >> 1;
+    }
+  }
+  return ~crc;
+}
+
+using CrcFn = std::uint32_t (*)(const std::byte*, std::size_t, std::uint32_t);
+
+// Asserts `fn` equals `expected` on random data for every length 0..256
+// and one 8 KB page, at every start offset 0..7 (so every alignment of the
+// 8-byte word loop and its byte tail is hit), both from a zero seed and
+// chained onto a non-zero running CRC.
+void ExpectSameCrc(CrcFn fn, CrcFn expected) {
+  constexpr std::size_t kPage = 8192;
+  Random rng(20050614);
+  std::vector<std::byte> buf(kPage + 8);
+  for (std::byte& b : buf) b = static_cast<std::byte>(rng.NextU64());
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 256; ++n) lengths.push_back(n);
+  lengths.push_back(kPage);
+  const std::uint32_t running = expected(buf.data(), 5, 0);
+  ASSERT_NE(running, 0u);
+  for (const std::size_t n : lengths) {
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      const std::byte* data = buf.data() + offset;
+      ASSERT_EQ(fn(data, n, 0), expected(data, n, 0))
+          << "n=" << n << " offset=" << offset;
+      ASSERT_EQ(fn(data, n, running), expected(data, n, running))
+          << "chained n=" << n << " offset=" << offset;
+    }
+  }
+}
+
+TEST(ChecksumTest, PortableMatchesBitwiseReference) {
+  ExpectSameCrc(Crc32cPortable, ReferenceCrc32c);
+}
+
+TEST(ChecksumTest, HardwareMatchesPortable) {
+  if (!Crc32cUsesHardware()) {
+    GTEST_SKIP() << "no CRC32C instruction on this CPU";
+  }
+  ExpectSameCrc(Crc32c, Crc32cPortable);
 }
 
 // --- Fault schedule determinism ------------------------------------------

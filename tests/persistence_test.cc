@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <unistd.h>
 
@@ -194,6 +195,56 @@ TEST(PersistenceTest, CorruptSummaryBlockDegradesToSummaryFreeLoad) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->count, OracleCount(tree, *query, tree.root()));
   EXPECT_GT(result->metrics.clusters_visited, 0u);
+  std::remove(path.c_str());
+}
+
+TEST(PersistenceTest, SummaryLengthBeyondFileIsRejectedBeforeAllocating) {
+  DatabaseOptions options;
+  options.page_size = 1024;
+  Database db(options);
+  XMarkOptions xmark;
+  xmark.scale = 0.005;
+  const DomTree tree = GenerateXMark(xmark, db.tags());
+  SubtreeClusteringPolicy policy(896);
+  auto doc = db.Import(tree, &policy);
+  ASSERT_TRUE(doc.ok());
+  const std::string path = TempPath("summary_length.nvph");
+  ASSERT_TRUE(SaveDatabase(&db, *doc, path).ok());
+
+  // The u64 block length sits right before the summary's own encoding.
+  // Set it to 1 GiB: far more than the file holds, and under the format's
+  // 2 GiB cap, so only the bytes-left bound can reject it.
+  std::string encoded;
+  db.summary()->Encode(&encoded);
+  std::string file;
+  {
+    std::FILE* f = std::fopen(path.c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    char buf[4096];
+    std::size_t got;
+    while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+      file.append(buf, got);
+    }
+    std::fclose(f);
+  }
+  const std::size_t at = file.find(encoded);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_GE(at, sizeof(std::uint64_t));
+  const std::uint64_t huge = 1ull << 30;
+  std::memcpy(&file[at - sizeof(huge)], &huge, sizeof(huge));
+  {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(file.data(), 1, file.size(), f), file.size());
+    std::fclose(f);
+  }
+
+  auto loaded = LoadDatabase(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsCorruption());
+  EXPECT_NE(loaded.status().ToString().find("summary block length"),
+            std::string::npos)
+      << loaded.status().ToString();
   std::remove(path.c_str());
 }
 
