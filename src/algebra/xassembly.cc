@@ -38,11 +38,11 @@ void XAssembly::TriggerFallback() {
 
 Status XAssembly::Reach(const PathInstance& inst) {
   // Iterative closure; each work item carries the provenance left end.
-  std::vector<PathInstance> worklist;
-  worklist.push_back(inst);
-  while (!worklist.empty()) {
-    const PathInstance item = worklist.back();
-    worklist.pop_back();
+  // (assign, not push_back: an error return may have left items behind.)
+  worklist_.assign(1, inst);
+  while (!worklist_.empty()) {
+    const PathInstance item = worklist_.back();
+    worklist_.pop_back();
     const PathEnd& e = item.right;
 
     if (options_.first_step_reaches_all && e.step == 0 && e.border) {
@@ -51,7 +51,7 @@ Status XAssembly::Reach(const PathInstance& inst) {
     }
     db_->clock()->ChargeCpu(db_->costs().set_op);
     ++db_->metrics()->r_set_probes;
-    if (!r_.insert(e.Key()).second) continue;  // already known
+    if (!r_.insert(e.Key())) continue;  // already known
 
     if (!e.border) {
 #if NAVPATH_OBSERVE_ENABLED
@@ -79,7 +79,7 @@ Status XAssembly::Reach(const PathInstance& inst) {
       ++db_->metrics()->s_set_probes;
       for (const PathInstance& x : it->second) {
         // x: "if e is reachable, x.right is reachable".
-        worklist.push_back(x);
+        worklist_.push_back(x);
       }
       s_size_ -= it->second.size();
       s_.erase(it);
@@ -88,7 +88,7 @@ Status XAssembly::Reach(const PathInstance& inst) {
     if (schedule_ != nullptr) {
       const bool covered_by_seeds =
           options_.speculative && !shared_->fallback &&
-          shared_->visited_clusters.count(e.node.page) > 0;
+          shared_->visited_clusters.contains(e.node.page);
       if (!covered_by_seeds) {
         NAVPATH_RETURN_NOT_OK(schedule_->AddWork(PathInstance{item.left, e}));
       }
@@ -118,7 +118,7 @@ Status XAssembly::HandleArrival(const PathInstance& y) {
   const std::uint64_t key = x.left.Key();
   const bool left_known =
       (options_.first_step_reaches_all && x.left.step == 0) ||
-      r_.count(key) > 0;
+      r_.contains(key);
   db_->clock()->ChargeCpu(db_->costs().set_op);
   ++db_->metrics()->r_set_probes;
   if (left_known) {

@@ -3,7 +3,10 @@
 namespace navpath {
 
 Status XSchedule::Open() {
-  q_.clear();
+  q_nodes_.clear();
+  q_free_ = kNil;
+  q_lists_.clear();
+  queued_pages_.clear();
   q_size_ = 0;
   producer_done_ = false;
   ready_.clear();
@@ -23,7 +26,7 @@ Status XSchedule::Close() {
 }
 
 void XSchedule::MarkReady(PageId page) {
-  if (ready_set_.insert(page).second) {
+  if (ready_set_.insert(page)) {
     ready_.push_back(page);
     not_ready_.erase(page);
   }
@@ -32,10 +35,57 @@ void XSchedule::MarkReady(PageId page) {
 Status XSchedule::Enqueue(const PathInstance& inst) {
   const PageId cluster = inst.right.node.page;
   db_->clock()->ChargeCpu(db_->costs().set_op);
-  q_[cluster].push_back(inst);
+  std::uint32_t node = q_free_;
+  if (node != kNil) {
+    q_free_ = q_nodes_[node].next;
+    q_nodes_[node] = QNode{inst, kNil};
+  } else {
+    node = static_cast<std::uint32_t>(q_nodes_.size());
+    q_nodes_.push_back(QNode{inst, kNil});
+  }
+  if (cluster >= q_lists_.size()) q_lists_.resize(cluster + 1);
+  QList& list = q_lists_[cluster];
+  if (list.tail == kNil) {
+    list.head = node;
+    queued_pages_.insert(cluster);
+  } else {
+    q_nodes_[list.tail].next = node;
+  }
+  list.tail = node;
   ++q_size_;
-  if (ready_set_.count(cluster) == 0) not_ready_.insert(cluster);
+  if (!ready_set_.contains(cluster)) not_ready_.insert(cluster);
   return SchedulePrefetch(cluster);
+}
+
+PathInstance XSchedule::PopFront(PageId page) {
+  QList& list = q_lists_[page];
+  const std::uint32_t node = list.head;
+  NAVPATH_DCHECK(node != kNil);
+  list.head = q_nodes_[node].next;
+  if (list.head == kNil) {
+    list.tail = kNil;
+    queued_pages_.erase(page);
+    not_ready_.erase(page);
+  }
+  q_nodes_[node].next = q_free_;
+  q_free_ = node;
+  --q_size_;
+  return q_nodes_[node].inst;
+}
+
+Status XSchedule::EnterCluster(PageId page,
+                               [[maybe_unused]] const char* event) {
+  NAVPATH_RETURN_NOT_OK(shared_->cluster.Switch(page));
+  NAVPATH_TRACE(db_->tracer(),
+                Instant(TraceCategory::kScheduler, kTrackScheduler, event,
+                        db_->clock()->now(),
+                        {{"page", page}, {"owner", shared_->owner_id}}));
+  shared_->visited_clusters.insert(page);
+  ++clusters_entered_;
+  seeding_ = options_.speculative && !shared_->fallback;
+  seed_slot_ = 0;
+  seed_step_ = 0;
+  return Status::OK();
 }
 
 Status XSchedule::SchedulePrefetch(PageId page) {
@@ -43,7 +93,7 @@ Status XSchedule::SchedulePrefetch(PageId page) {
   // buffer/drive interactions below use the snapshot's physical mapping.
   const PageTranslator* translator = shared_->cluster.translator();
   const PageId physical = TranslateToPhysical(translator, page);
-  if (options_.max_inflight > 0 && deferred_set_.count(page) == 0 &&
+  if (options_.max_inflight > 0 && !deferred_set_.contains(page) &&
       db_->buffer()->PendingFor(shared_->owner_id) >=
           options_.max_inflight &&
       !db_->buffer()->IsResident(physical)) {
@@ -111,9 +161,10 @@ Result<bool> XSchedule::SwitchToNextCluster() {
       // A sibling query's wait may already have installed clusters we
       // queued (completions are delivered to whichever query blocks
       // first); pick those up instead of blocking on our own prefetches.
-      // Probe in ascending page order, the order of q_ itself.
-      for (auto it = not_ready_.begin(); it != not_ready_.end();) {
-        const PageId page = *it++;  // MarkReady erases `page`
+      // Probe in ascending page order; MarkReady erases `page` from the
+      // set, which the walk tolerates.
+      for (PageId page = not_ready_.NextAtOrAfter(0); page != PageSet::kNone;
+           page = not_ready_.NextAtOrAfter(page + 1)) {
         if (db_->buffer()->IsResident(TranslateToPhysical(
                 shared_->cluster.translator(), page))) {
           MarkReady(page);
@@ -125,19 +176,9 @@ Result<bool> XSchedule::SwitchToNextCluster() {
       const PageId page = ready_.front();
       ready_.pop_front();
       ready_set_.erase(page);
-      auto it = q_.find(page);
-      if (it == q_.end() || it->second.empty()) continue;  // stale marker
+      if (!HasQueued(page)) continue;  // stale marker
       not_ready_.insert(page);
-      NAVPATH_RETURN_NOT_OK(shared_->cluster.Switch(page));
-      NAVPATH_TRACE(db_->tracer(),
-                    Instant(TraceCategory::kScheduler, kTrackScheduler,
-                            "enter_cluster", db_->clock()->now(),
-                            {{"page", page}, {"owner", shared_->owner_id}}));
-      shared_->visited_clusters.insert(page);
-      ++clusters_entered_;
-      seeding_ = options_.speculative && !shared_->fallback;
-      seed_slot_ = 0;
-      seed_step_ = 0;
+      NAVPATH_RETURN_NOT_OK(EnterCluster(page, "enter_cluster"));
       return true;
     }
     if (db_->buffer()->HasPrefetchInFlight()) {
@@ -189,22 +230,11 @@ Result<bool> XSchedule::SwitchToNextCluster() {
       ++db_->metrics()->fault_fallbacks;
     }
     // Safety net: queued clusters whose ready marker was consumed early
-    // (e.g. after eviction). Serve the first one synchronously.
-    for (auto& [page, entries] : q_) {
-      if (entries.empty()) continue;
-      NAVPATH_RETURN_NOT_OK(shared_->cluster.Switch(page));
-      NAVPATH_TRACE(db_->tracer(),
-                    Instant(TraceCategory::kScheduler, kTrackScheduler,
-                            "enter_cluster_sync", db_->clock()->now(),
-                            {{"page", page}, {"owner", shared_->owner_id}}));
-      shared_->visited_clusters.insert(page);
-      ++clusters_entered_;
-      seeding_ = options_.speculative && !shared_->fallback;
-      seed_slot_ = 0;
-      seed_step_ = 0;
-      return true;
-    }
-    return false;
+    // (e.g. after eviction). Serve the lowest one synchronously.
+    const PageId page = queued_pages_.NextAtOrAfter(0);
+    if (page == PageSet::kNone) return false;
+    NAVPATH_RETURN_NOT_OK(EnterCluster(page, "enter_cluster_sync"));
+    return true;
   }
 }
 
@@ -233,17 +263,10 @@ Result<bool> XSchedule::Next(PathInstance* out) {
   for (;;) {
     NAVPATH_RETURN_NOT_OK(Replenish());
     if (shared_->cluster.valid()) {
-      auto it = q_.find(shared_->cluster.page());
-      if (it != q_.end()) {
-        if (!it->second.empty()) {
-          *out = it->second.front();
-          it->second.pop_front();
-          --q_size_;
-          if (it->second.empty()) not_ready_.erase(it->first);
-          db_->clock()->ChargeCpu(db_->costs().instance_op);
-          return true;
-        }
-        q_.erase(it);
+      if (HasQueued(shared_->cluster.page())) {
+        *out = PopFront(shared_->cluster.page());
+        db_->clock()->ChargeCpu(db_->costs().instance_op);
+        return true;
       }
       if (EmitSeed(out)) return true;
     }

@@ -21,12 +21,12 @@
 #ifndef NAVPATH_ALGEBRA_XSCHEDULE_H_
 #define NAVPATH_ALGEBRA_XSCHEDULE_H_
 
+#include <cstdint>
 #include <deque>
-#include <map>
-#include <set>
-#include <unordered_set>
+#include <vector>
 
 #include "algebra/operator.h"
+#include "common/flat_set.h"
 
 namespace navpath {
 
@@ -63,6 +63,12 @@ class XSchedule : public PathOperator {
 
  private:
   Status Enqueue(const PathInstance& inst);
+  /// Removes and returns the oldest instance queued for `page`, which must
+  /// have queued work.
+  PathInstance PopFront(PageId page);
+  bool HasQueued(PageId page) const { return queued_pages_.contains(page); }
+  /// Pins `page` as the current cluster and starts its seed enumeration.
+  Status EnterCluster(PageId page, const char* event);
   void MarkReady(PageId page);
   /// Submits the prefetch for `page`, or defers it when the in-flight
   /// bound is reached (no-op without a bound, where Enqueue submits
@@ -80,19 +86,33 @@ class XSchedule : public PathOperator {
   PathOperator* producer_;
   XScheduleOptions options_;
 
-  std::map<PageId, std::deque<PathInstance>> q_;
+  // Q: one FIFO list per cluster, its nodes pooled in q_nodes_ (unused
+  // nodes chained from q_free_), its ends in q_lists_[logical page].
+  static constexpr std::uint32_t kNil = UINT32_MAX;
+  struct QNode {
+    PathInstance inst;
+    std::uint32_t next = kNil;
+  };
+  struct QList {
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
+  };
+  std::vector<QNode> q_nodes_;
+  std::uint32_t q_free_ = kNil;
+  std::vector<QList> q_lists_;
+  PageSet queued_pages_;  // clusters whose list is non-empty
   std::size_t q_size_ = 0;
   bool producer_done_ = false;
 
   std::deque<PageId> ready_;
-  std::unordered_set<PageId> ready_set_;
-  // Clusters with queued work that are not in ready_set_, in page order:
-  // the only candidates the cooperative readiness sweep has to probe.
-  std::set<PageId> not_ready_;
+  PageSet ready_set_;
+  // Clusters with queued work that are not in ready_set_: the only
+  // candidates the cooperative readiness sweep has to probe.
+  PageSet not_ready_;
 
   // Prefetches held back by options_.max_inflight, in submission order.
   std::deque<PageId> deferred_;
-  std::unordered_set<PageId> deferred_set_;
+  PageSet deferred_set_;
 
   // Speculative seed enumeration state for the current cluster.
   bool seeding_ = false;

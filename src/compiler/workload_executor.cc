@@ -651,9 +651,12 @@ std::size_t WorkloadExecutor::PickNext(
     const std::vector<std::size_t>& active, std::uint64_t decisions) {
   NAVPATH_DCHECK(!active.empty());
   // Measurement-side observability; never touches the simulated clock.
-  ++sched_.Counter("sched.decisions");
-  sched_.GetHistogram("sched.pool_depth")
-      .Record(db_->disk()->pending_requests());
+  if (decisions_counter_ == nullptr) {
+    decisions_counter_ = &sched_.Counter("sched.decisions");
+    pool_depth_histogram_ = &sched_.GetHistogram("sched.pool_depth");
+  }
+  ++*decisions_counter_;
+  pool_depth_histogram_->Record(db_->disk()->pending_requests());
   switch (options_.policy) {
     case WorkloadPolicy::kRoundRobin: {
       // Rotate over stable job ids, not positions: `decisions % size`
@@ -780,6 +783,8 @@ Status WorkloadExecutor::BeginRun() {
     NAVPATH_RETURN_NOT_OK(db_->ResetMeasurement());
   }
   sched_.Reset();
+  decisions_counter_ = nullptr;
+  pool_depth_histogram_ = nullptr;
   rr_cursor_ = static_cast<std::size_t>(-1);
   hybrid_io_cursor_ = static_cast<std::size_t>(-1);
   completed_ = 0;
@@ -831,7 +836,11 @@ void WorkloadExecutor::FinishJob(std::size_t active_pos) {
   Job& job = jobs_[run_active_[active_pos]];
   job.result.finished_at = db_->clock()->now();
   job.plan = PathPlan();
-  job.seen.clear();
+  // Release the dedup table itself, not just its contents: finished jobs
+  // stay in jobs_ until the run ends, and over a long serve run retained
+  // tables add up to megabytes. Assigning a fresh set frees the storage
+  // whatever the set's type (std::unordered_set::clear() keeps buckets).
+  job.seen = decltype(job.seen)();
   // Transaction state goes after the plan (the plan's translator points
   // into the snapshot). Dropping the snapshot unpins its version for
   // reclamation; a writer still open here (insert failure path) was
@@ -995,7 +1004,7 @@ Result<std::size_t> WorkloadExecutor::PullOnce() {
   if (have) {
     // Final duplicate elimination, as in single-query execution.
     db_->clock()->ChargeCpu(db_->costs().set_op);
-    if (!job.seen.insert(step_inst_.right.node.Pack()).second) {
+    if (!job.seen.insert(step_inst_.right.node.Pack())) {
       return kNoJob;
     }
     ++job.result.count;

@@ -10,6 +10,7 @@
 #include <functional>
 #include <string>
 
+#include "common/flat_set.h"
 #include "storage/page.h"
 
 namespace navpath {
@@ -53,11 +54,7 @@ constexpr NodeID kInvalidNodeID{};
 
 struct NodeIDHash {
   std::size_t operator()(const NodeID& id) const {
-    // splitmix64 finalizer over the packed representation.
-    std::uint64_t z = id.Pack() + 0x9e3779b97f4a7c15ull;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return static_cast<std::size_t>(z ^ (z >> 31));
+    return static_cast<std::size_t>(SplitMix64(id.Pack()));
   }
 };
 

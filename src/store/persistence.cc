@@ -3,9 +3,11 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <string>
 #include <vector>
 
 #include "storage/checksum.h"
+#include "store/tree_page.h"
 
 namespace navpath {
 namespace {
@@ -149,6 +151,17 @@ Result<LoadedDatabase> LoadDatabase(const std::string& path,
   if (!ReadU32(in, &page_size) || !ReadU32(in, &page_count) ||
       !ReadU32(in, &tag_count)) {
     return Status::Corruption("truncated header");
+  }
+  // Both sizes are checked before the Database (and its pool) exists.
+  if (page_size < TreePage::kMinPageSize ||
+      page_size > TreePage::kMaxPageSize) {
+    return Status::Corruption("bad page size " + std::to_string(page_size));
+  }
+  const std::uint64_t page_bytes =
+      std::uint64_t{page_count} * (std::uint64_t{page_size} + 8);
+  if (page_bytes > static_cast<std::uint64_t>(file_size - in.tellg())) {
+    return Status::Corruption("page count " + std::to_string(page_count) +
+                              " exceeds the file size");
   }
   options.page_size = page_size;
 

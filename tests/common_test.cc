@@ -1,8 +1,14 @@
-// Unit tests for the common module: Status/Result, SimClock, Random.
+// Unit tests for the common module: Status/Result, SimClock, Random and
+// the flat sets.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <set>
+#include <unordered_set>
+#include <vector>
 
+#include "common/flat_set.h"
 #include "common/random.h"
 #include "common/sim_clock.h"
 #include "common/status.h"
@@ -150,6 +156,134 @@ TEST(RandomTest, BoundedCoversRange) {
   std::set<std::uint64_t> seen;
   for (int i = 0; i < 1000; ++i) seen.insert(rng.NextBounded(8));
   EXPECT_EQ(seen.size(), 8u);
+}
+
+TEST(KeySetTest, MatchesUnorderedSetReference) {
+  // Keys mix a small range (many repeats), the two extremes (0 is the
+  // empty-slot value) and arbitrary 64-bit values.
+  Random rng(20260417);
+  auto next_key = [&]() -> std::uint64_t {
+    const std::uint64_t kind = rng.NextBounded(10);
+    if (kind < 5) return rng.NextBounded(5000);
+    if (kind == 5) return 0;
+    if (kind == 6) return ~0ull;
+    return rng.NextU64();
+  };
+  KeySet set;
+  std::unordered_set<std::uint64_t> reference;
+  std::size_t growths = 0;
+  for (int op = 0; op < 100000; ++op) {
+    const std::uint64_t key = next_key();
+    if (rng.NextBool(0.6)) {
+      const std::size_t capacity = set.capacity();
+      ASSERT_EQ(set.insert(key), reference.insert(key).second) << key;
+      if (set.capacity() != capacity) ++growths;
+    } else {
+      ASSERT_EQ(set.contains(key), reference.count(key) > 0) << key;
+    }
+    ASSERT_EQ(set.size(), reference.size());
+    // Load <= 1/2 over the table; key 0 lives outside it.
+    ASSERT_LE((set.size() - (set.contains(0) ? 1 : 0)) * 2, set.capacity());
+  }
+  EXPECT_GT(growths, 8u);
+  EXPECT_TRUE(std::has_single_bit(set.capacity()));
+  for (const std::uint64_t key : reference) ASSERT_TRUE(set.contains(key));
+
+  set.clear();
+  EXPECT_EQ(set.capacity(), 0u);
+  EXPECT_EQ(set.size(), 0u);
+  EXPECT_FALSE(set.contains(0));
+  EXPECT_FALSE(set.contains(~0ull));
+  EXPECT_FALSE(set.contains(1));
+  EXPECT_TRUE(set.insert(0));
+  EXPECT_TRUE(set.insert(~0ull));
+  EXPECT_FALSE(set.insert(0));
+  EXPECT_EQ(set.size(), 2u);
+}
+
+TEST(PageSetTest, MatchesStdSetReference) {
+  Random rng(99);
+  PageSet set;
+  std::set<std::uint32_t> reference;
+  for (int op = 0; op < 20000; ++op) {
+    const auto id = static_cast<std::uint32_t>(rng.NextBounded(300));
+    switch (rng.NextBounded(3)) {
+      case 0:
+        ASSERT_EQ(set.insert(id), reference.insert(id).second);
+        break;
+      case 1:
+        ASSERT_EQ(set.erase(id), reference.erase(id) == 1);
+        break;
+      default:
+        ASSERT_EQ(set.contains(id), reference.count(id) == 1);
+    }
+    ASSERT_EQ(set.size(), reference.size());
+    const auto from = static_cast<std::uint32_t>(rng.NextBounded(320));
+    const auto it = reference.lower_bound(from);
+    ASSERT_EQ(set.NextAtOrAfter(from),
+              it == reference.end() ? PageSet::kNone : *it)
+        << from;
+  }
+  set.clear();
+  EXPECT_EQ(set.size(), 0u);
+  EXPECT_EQ(set.NextAtOrAfter(0), PageSet::kNone);
+}
+
+TEST(PageSetTest, NextAtOrAfterAcrossWordBoundaries) {
+  PageSet set;
+  EXPECT_EQ(set.NextAtOrAfter(0), PageSet::kNone);
+  for (const std::uint32_t id : {63u, 64u, 65u, 127u, 128u}) set.insert(id);
+  EXPECT_EQ(set.NextAtOrAfter(0), 63u);
+  EXPECT_EQ(set.NextAtOrAfter(63), 63u);
+  EXPECT_EQ(set.NextAtOrAfter(64), 64u);
+  EXPECT_EQ(set.NextAtOrAfter(65), 65u);
+  EXPECT_EQ(set.NextAtOrAfter(66), 127u);
+  EXPECT_EQ(set.NextAtOrAfter(127), 127u);
+  EXPECT_EQ(set.NextAtOrAfter(128), 128u);
+  EXPECT_EQ(set.NextAtOrAfter(129), PageSet::kNone);
+  EXPECT_EQ(set.NextAtOrAfter(PageSet::kNone), PageSet::kNone);
+  set.erase(64);
+  set.erase(127);
+  EXPECT_EQ(set.NextAtOrAfter(64), 65u);
+  EXPECT_EQ(set.NextAtOrAfter(66), 128u);
+  EXPECT_FALSE(set.contains(64));
+  EXPECT_TRUE(set.contains(128));
+  EXPECT_FALSE(set.contains(100000));  // beyond the grown words
+}
+
+TEST(PageSetTest, AscendingWalkThatErasesVisitsWhatStdSetWalkVisits) {
+  // XSchedule's readiness sweep: walk ascending, erasing some visited ids.
+  Random rng(5);
+  for (int round = 0; round < 50; ++round) {
+    PageSet set;
+    std::set<std::uint32_t> reference;
+    for (int i = 0; i < 200; ++i) {
+      const auto id = static_cast<std::uint32_t>(rng.NextBounded(1000));
+      set.insert(id);
+      reference.insert(id);
+    }
+    std::vector<std::uint32_t> erase_at;
+    for (const std::uint32_t id : reference) {
+      if (rng.NextBool(0.5)) erase_at.push_back(id);
+    }
+    auto erases = [&](std::uint32_t id) {
+      return std::binary_search(erase_at.begin(), erase_at.end(), id);
+    };
+    std::vector<std::uint32_t> walked, expected;
+    for (std::uint32_t id = set.NextAtOrAfter(0); id != PageSet::kNone;
+         id = set.NextAtOrAfter(id + 1)) {
+      walked.push_back(id);
+      if (erases(id)) set.erase(id);
+    }
+    for (auto it = reference.begin(); it != reference.end();) {
+      const std::uint32_t id = *it++;
+      expected.push_back(id);
+      if (erases(id)) reference.erase(id);
+    }
+    ASSERT_EQ(walked, expected);
+    ASSERT_EQ(set.size(), reference.size());
+    for (const std::uint32_t id : reference) ASSERT_TRUE(set.contains(id));
+  }
 }
 
 }  // namespace

@@ -248,6 +248,57 @@ TEST(PersistenceTest, SummaryLengthBeyondFileIsRejectedBeforeAllocating) {
   std::remove(path.c_str());
 }
 
+TEST(PersistenceTest, HostileHeaderSizesAreRejectedBeforeAllocating) {
+  DatabaseOptions options;
+  options.page_size = 512;
+  Database db(options);
+  auto tree = ParseXml("<r><a/></r>", db.tags());
+  ASSERT_TRUE(tree.ok());
+  SubtreeClusteringPolicy policy(448);
+  auto doc = db.Import(*tree, &policy);
+  ASSERT_TRUE(doc.ok());
+  const std::string path = TempPath("hostile_header.nvph");
+
+  // Header: magic, version, page_size, page_count (u32 each).
+  constexpr long kPageSizeAt = 8;
+  auto load_with = [&](std::uint32_t page_size, std::uint32_t page_count) {
+    EXPECT_TRUE(SaveDatabase(&db, *doc, path).ok());
+    std::FILE* f = std::fopen(path.c_str(), "rb+");
+    EXPECT_NE(f, nullptr);
+    std::fseek(f, kPageSizeAt, SEEK_SET);
+    std::fwrite(&page_size, sizeof(page_size), 1, f);
+    std::fwrite(&page_count, sizeof(page_count), 1, f);
+    std::fclose(f);
+    return LoadDatabase(path);
+  };
+
+  const std::uint32_t kMax = 0xFFFFFFFFu;
+  auto both_max = load_with(kMax, kMax);
+  ASSERT_FALSE(both_max.ok());
+  EXPECT_TRUE(both_max.status().IsCorruption());
+  EXPECT_NE(both_max.status().ToString().find("page size"),
+            std::string::npos)
+      << both_max.status().ToString();
+
+  for (const std::uint32_t page_size : {0u, 63u, 65536u}) {
+    auto bad_size = load_with(page_size, 1);
+    ASSERT_FALSE(bad_size.ok()) << page_size;
+    EXPECT_TRUE(bad_size.status().IsCorruption()) << page_size;
+  }
+
+  // A valid page size with a page count the file cannot hold.
+  auto bad_count = load_with(512, kMax);
+  ASSERT_FALSE(bad_count.ok());
+  EXPECT_TRUE(bad_count.status().IsCorruption());
+  EXPECT_NE(bad_count.status().ToString().find("page count"),
+            std::string::npos)
+      << bad_count.status().ToString();
+
+  // The untouched header still loads.
+  EXPECT_TRUE(load_with(512, db.disk()->num_pages()).ok());
+  std::remove(path.c_str());
+}
+
 TEST(PersistenceTest, RejectsGarbageFiles) {
   const std::string path = TempPath("garbage.nvph");
   {
