@@ -14,6 +14,7 @@
 // in DESIGN.md, "The workload layer") for later PRs to diff against.
 #include <cmath>
 #include <cstdio>
+#include <map>
 
 #include "benchlib/experiments.h"
 #include "common/random.h"
@@ -155,9 +156,9 @@ int main() {
   json.Key("runs").BeginArray();
 
   PrintTableHeader(
-      "sequential vs interleaved (round-robin / fewest-I/O / SJF / hybrid)",
-      {"N", "seq[s]", "rr[s]", "fewest[s]", "sjf[s]", "hyb[s]", "speedup",
-       "merged", "depth"});
+      "sequential vs interleaved (round-robin / SJF / hybrid)",
+      {"N", "seq[s]", "rr[s]", "sjf[s]", "hyb[s]", "speedup", "merged",
+       "depth"});
 
   bool n4_ok = false;
   bool hybrid_ok = true;
@@ -169,33 +170,32 @@ int main() {
     RecordRun(&json, n, "sequential", WorkloadPolicy::kRoundRobin,
               *sequential);
 
-    const WorkloadPolicy policies[] = {
-        WorkloadPolicy::kRoundRobin,
-        WorkloadPolicy::kFewestPendingIos,
-        WorkloadPolicy::kShortestRemainingCost,
-        WorkloadPolicy::kHybrid,
-    };
-    constexpr int kPolicies = 4;
-    double seconds[kPolicies] = {};
-    double p50[kPolicies] = {};
+    // Makespan and p50 turnaround per policy, keyed by policy so the
+    // gates below cannot silently compare the wrong runs.
+    std::map<WorkloadPolicy, double> seconds, p50;
     WorkloadResult rr;
-    for (int p = 0; p < kPolicies; ++p) {
-      auto interleaved = RunWorkload(fixture->get(), n, 0, policies[p]);
+    for (const WorkloadPolicy policy :
+         {WorkloadPolicy::kRoundRobin, WorkloadPolicy::kShortestRemainingCost,
+          WorkloadPolicy::kHybrid}) {
+      auto interleaved = RunWorkload(fixture->get(), n, 0, policy);
       interleaved.status().AbortIfNotOk();
-      RecordRun(&json, n, "interleaved", policies[p], *interleaved);
-      seconds[p] = interleaved->total_seconds();
+      RecordRun(&json, n, "interleaved", policy, *interleaved);
+      seconds[policy] = interleaved->total_seconds();
       Histogram turnaround;
       for (const WorkloadQueryResult& q : interleaved->queries) {
         turnaround.Record(static_cast<std::uint64_t>(q.turnaround()));
       }
-      p50[p] = SimClock::ToSeconds(
+      p50[policy] = SimClock::ToSeconds(
           static_cast<SimTime>(turnaround.ValueAtQuantile(0.50)));
-      if (p == 0) rr = std::move(*interleaved);
+      if (policy == WorkloadPolicy::kRoundRobin) rr = std::move(*interleaved);
     }
+    const double rr_s = seconds[WorkloadPolicy::kRoundRobin];
+    const double sjf_s = seconds[WorkloadPolicy::kShortestRemainingCost];
+    const double hyb_s = seconds[WorkloadPolicy::kHybrid];
 
     char speedup[16], merged[24], depth[32];
     std::snprintf(speedup, sizeof(speedup), "%.2fx",
-                  sequential->total_seconds() / seconds[0]);
+                  sequential->total_seconds() / rr_s);
     std::snprintf(merged, sizeof(merged), "%llu",
                   static_cast<unsigned long long>(
                       rr.metrics.requests_merged));
@@ -204,29 +204,31 @@ int main() {
                   rr.mean_elevator_depth());
     PrintTableRow({std::to_string(n),
                    FormatSeconds(sequential->total_seconds()),
-                   FormatSeconds(seconds[0]), FormatSeconds(seconds[1]),
-                   FormatSeconds(seconds[2]), FormatSeconds(seconds[3]),
-                   speedup, merged, depth});
+                   FormatSeconds(rr_s), FormatSeconds(sjf_s),
+                   FormatSeconds(hyb_s), speedup, merged, depth});
 
     if (n == 4) {
-      n4_ok = seconds[0] < sequential->total_seconds() &&
+      n4_ok = rr_s < sequential->total_seconds() &&
               rr.mean_elevator_depth() >
                   sequential->mean_elevator_depth();
     }
     if (n >= 4) {
       // The hybrid's contract: SJF-class median turnaround without
       // SJF's makespan collapse (a few percent of round-robin's).
-      const double p50_ratio = p50[3] / p50[2];
-      const double makespan_ratio = seconds[3] / seconds[0];
+      const double rr_p50 = p50[WorkloadPolicy::kRoundRobin];
+      const double sjf_p50 = p50[WorkloadPolicy::kShortestRemainingCost];
+      const double hyb_p50 = p50[WorkloadPolicy::kHybrid];
+      const double p50_ratio = hyb_p50 / sjf_p50;
+      const double makespan_ratio = hyb_s / rr_s;
       std::printf("    hybrid at N=%zu: p50 %.2fx of SJF, makespan %.2fx "
                   "of round-robin\n", n, p50_ratio, makespan_ratio);
       if (n == 8) {
         hybrid_ok = page_resident
                         ? p50_ratio <= 1.05 && makespan_ratio <= 1.05
-                        : p50[3] < p50[0] && seconds[3] < seconds[2];
+                        : hyb_p50 < rr_p50 && hyb_s < sjf_s;
       }
     }
-    if (n == 8) rr8_seconds = seconds[0];
+    if (n == 8) rr8_seconds = rr_s;
   }
 
   json.EndArray();
@@ -254,8 +256,8 @@ int main() {
       .Value(SimClock::ToSeconds(mean_interarrival));
   json.Key("runs").BeginArray();
   for (const WorkloadPolicy policy :
-       {WorkloadPolicy::kRoundRobin, WorkloadPolicy::kFewestPendingIos,
-        WorkloadPolicy::kShortestRemainingCost, WorkloadPolicy::kHybrid}) {
+       {WorkloadPolicy::kRoundRobin, WorkloadPolicy::kShortestRemainingCost,
+        WorkloadPolicy::kHybrid}) {
     auto open = RunPoisson(fixture->get(), poisson_jobs, mean_interarrival,
                            kPoissonSeed, policy);
     open.status().AbortIfNotOk();

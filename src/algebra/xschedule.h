@@ -37,12 +37,6 @@ struct XScheduleOptions {
   bool speculative = false;
   /// |pi|, needed to generate seeds for each step.
   int path_length = 0;
-  /// Bound on this operator's outstanding asynchronous reads; 0 means
-  /// unbounded (every queued cluster is submitted immediately, the solo
-  /// behavior). The workload executor sets it so that N concurrent
-  /// queries' aggregate install-ahead fits the buffer pool — otherwise
-  /// prefetched clusters are evicted before their owner consumes them.
-  std::size_t max_inflight = 0;
 };
 
 class XSchedule : public PathOperator {
@@ -70,12 +64,8 @@ class XSchedule : public PathOperator {
   /// Pins `page` as the current cluster and starts its seed enumeration.
   Status EnterCluster(PageId page, const char* event);
   void MarkReady(PageId page);
-  /// Submits the prefetch for `page`, or defers it when the in-flight
-  /// bound is reached (no-op without a bound, where Enqueue submits
-  /// directly).
+  /// Submits the prefetch for `page` (marks it ready when resident).
   Status SchedulePrefetch(PageId page);
-  /// Re-submits deferred prefetches up to the in-flight bound.
-  Status TopUpPrefetches();
   Status Replenish();
   /// Picks and pins the next cluster; false when no work remains.
   Result<bool> SwitchToNextCluster();
@@ -109,10 +99,6 @@ class XSchedule : public PathOperator {
   // Clusters with queued work that are not in ready_set_: the only
   // candidates the cooperative readiness sweep has to probe.
   PageSet not_ready_;
-
-  // Prefetches held back by options_.max_inflight, in submission order.
-  std::deque<PageId> deferred_;
-  PageSet deferred_set_;
 
   // Speculative seed enumeration state for the current cluster.
   bool seeding_ = false;

@@ -35,22 +35,32 @@ constexpr std::uint64_t kClassifyMinPulls = 4;
 constexpr std::size_t kHybridBreadth = 1;
 
 /// Buffer pages a plan's prefetch/speculative state may occupy while the
-/// query is active: XSchedule keeps its in-flight reads (bounded by
-/// prefetch_inflight_cap once the workload sets one, queue_k-ish
-/// otherwise) plus the pinned current cluster; XScan and Simple touch one
-/// page at a time.
+/// query is active: XSchedule keeps its in-flight reads (queue_k-ish)
+/// plus the pinned current cluster; XScan and Simple touch one page at a
+/// time.
 std::size_t EstimateFootprint(const PlanOptions& plan) {
   switch (plan.kind) {
     case PlanKind::kXSchedule:
-      return (plan.prefetch_inflight_cap > 0
-                  ? std::min(plan.queue_k, plan.prefetch_inflight_cap)
-                  : plan.queue_k) +
-             2;
+      return plan.queue_k + 2;
     case PlanKind::kXScan:
     case PlanKind::kSimple:
       return 2;
   }
   return 2;
+}
+
+/// Tightens an XSchedule footprint with the cost model's clusters-touched
+/// estimate: a path whose whole result set fits in few clusters can never
+/// keep more pages than that in flight, however large its prefetch window.
+/// The derived bound only tightens the static one (and never below 3), so
+/// stats never make admission more conservative; no estimate (<= 0)
+/// leaves it unchanged.
+std::size_t StatsBoundedFootprint(std::size_t static_bound,
+                                  double clusters_touched) {
+  if (clusters_touched <= 0.0) return static_bound;
+  const std::size_t derived =
+      static_cast<std::size_t>(std::ceil(clusters_touched)) + 2;
+  return std::min(static_bound, std::max<std::size_t>(3, derived));
 }
 
 /// Admission footprint of a sharing-group consumer: FanOutReader +
@@ -71,6 +81,11 @@ constexpr double kDeadlineHeadroom = 2.0;
 /// base page and one shadow page at a time (both pinned across the copy),
 /// plus slack for the chain page a gapped insert may redistribute into.
 constexpr std::size_t kWriterFootprint = 4;
+
+/// Backoff before an aborted writer's first retry; doubles per retry
+/// (capped at 64x). Simulated time, charged via the clock, so backed-off
+/// writers yield the window to their conflictors.
+constexpr SimTime kWriterRetryBackoff = 100 * kSimMicrosecond;
 
 }  // namespace
 
@@ -94,18 +109,6 @@ Status ValidateWorkloadOptions(const WorkloadOptions& options) {
     return Status::InvalidArgument(
         "max_writers must be at least 1 (0 would never admit a writer)");
   }
-  if (options.shards != nullptr && options.txn != nullptr) {
-    return Status::InvalidArgument(
-        "sharded execution (WorkloadOptions.shards) cannot be combined "
-        "with transactions (WorkloadOptions.txn): commit ordering and "
-        "snapshot visibility across shard-local version chains are not "
-        "implemented — run transactional workloads unsharded");
-  }
-  if (options.shards != nullptr && options.enable_sharing) {
-    return Status::InvalidArgument(
-        "cross-query sharing plans prefix groups whole-workload against "
-        "one store and cannot span shard-partitioned sub-workloads");
-  }
   if (options.writer_batch == 0) {
     return Status::InvalidArgument(
         "writer_batch must be at least 1 (a pull must make progress)");
@@ -117,8 +120,6 @@ const char* WorkloadPolicyName(WorkloadPolicy policy) {
   switch (policy) {
     case WorkloadPolicy::kRoundRobin:
       return "round-robin";
-    case WorkloadPolicy::kFewestPendingIos:
-      return "fewest-pending-ios";
     case WorkloadPolicy::kShortestRemainingCost:
       return "shortest-remaining-cost";
     case WorkloadPolicy::kHybrid:
@@ -159,13 +160,6 @@ Status WorkloadExecutor::Add(const PathQuery& query, const PlanOptions& plan,
   job.query = query;
   job.plan_options = plan;
   if (options_.explain) job.plan_options.profile = true;
-  // Under external admission the per-query prefetch cap applies from the
-  // moment the job exists (Run() instead applies it once, in BeginRun,
-  // when it knows the workload runs concurrently).
-  if (stepping_ && options_.prefetch_inflight_cap > 0 &&
-      job.plan_options.kind == PlanKind::kXSchedule) {
-    job.plan_options.prefetch_inflight_cap = options_.prefetch_inflight_cap;
-  }
   job.contexts = std::move(contexts);
   job.arrival = arrival;
   job.deadline = deadline;
@@ -242,19 +236,11 @@ void WorkloadExecutor::ComputeEstimates(Job* job) const {
 std::size_t WorkloadExecutor::FootprintFor(const Job& job) const {
   if (job.is_write) return kWriterFootprint;
   const std::size_t static_bound = EstimateFootprint(job.plan_options);
-  // A query whose whole result set fits in few clusters can never keep
-  // more pages than that in flight, no matter how large its prefetch
-  // window is configured; charge it only what the cost model says it can
-  // use. The derived bound only tightens the static one, so stats never
-  // make admission more conservative than before.
   if (!options_.footprint_from_stats ||
-      job.plan_options.kind != PlanKind::kXSchedule ||
-      job.clusters_touched <= 0.0) {
+      job.plan_options.kind != PlanKind::kXSchedule) {
     return static_bound;
   }
-  const std::size_t derived =
-      static_cast<std::size_t>(std::ceil(job.clusters_touched)) + 2;
-  return std::min(static_bound, std::max<std::size_t>(3, derived));
+  return StatsBoundedFootprint(static_bound, job.clusters_touched);
 }
 
 Status WorkloadExecutor::PlanShareGroups() {
@@ -294,8 +280,8 @@ Status WorkloadExecutor::PlanShareGroups() {
 
     // The producer evaluates the prefix once with XSchedule — the
     // operator built for exactly this streaming role; its options derive
-    // from the first member's, so workload-wide tuning (queue_k,
-    // prefetch caps) carries over.
+    // from the first member's, so workload-wide tuning (queue_k) carries
+    // over.
     PlanOptions producer_options = jobs_[group.members.front()].plan_options;
     producer_options.kind = PlanKind::kXSchedule;
     producer_options.profile = false;
@@ -310,16 +296,9 @@ Status WorkloadExecutor::PlanShareGroups() {
 
     group.footprint = EstimateFootprint(producer_options);
     if (options_.footprint_from_stats) {
-      const PathEstimate prefix_estimate =
-          EstimatePath(*options_.stats, group.prefix);
-      if (prefix_estimate.clusters_touched > 0.0) {
-        const std::size_t derived =
-            static_cast<std::size_t>(
-                std::ceil(prefix_estimate.clusters_touched)) +
-            2;
-        group.footprint =
-            std::min(group.footprint, std::max<std::size_t>(3, derived));
-      }
+      group.footprint = StatsBoundedFootprint(
+          group.footprint,
+          EstimatePath(*options_.stats, group.prefix).clusters_touched);
     }
 
     FanOutOptions fanout_options;
@@ -368,8 +347,15 @@ Status WorkloadExecutor::StartSharedPath(Job* job) {
     tip = ops.back().get();
   }
   job->plan = PathPlan::Assemble(std::move(shared), std::move(ops), tip);
+  ResetPathState(job);
+  return job->plan.root()->Open();
+}
+
+void WorkloadExecutor::ResetPathState(Job* job) {
   job->seen.clear();
   job->produced_in_path = 0;
+  // Fresh plan, fresh yield/block counters: restart the classification
+  // window so the new path's behavior is judged on its own pulls.
   job->window_pulls0 = job->result.pulls;
   job->window_yields0 = 0;
   job->window_blocks0 = 0;
@@ -379,7 +365,6 @@ Status WorkloadExecutor::StartSharedPath(Job* job) {
     job->path_io0 = db_->clock()->io_wait_time();
     job->path_count_before = job->result.count;
   }
-  return job->plan.root()->Open();
 }
 
 void WorkloadExecutor::LeaveShareGroup(Job* job) {
@@ -474,19 +459,7 @@ Status WorkloadExecutor::StartNextPath(Job* job) {
   plan.shared()->owner_id = job->owner_id;
   plan.shared()->cooperative = true;
   job->plan = std::move(plan);
-  job->seen.clear();
-  job->produced_in_path = 0;
-  // Fresh plan, fresh yield/block counters: restart the classification
-  // window so the new path's behavior is judged on its own pulls.
-  job->window_pulls0 = job->result.pulls;
-  job->window_yields0 = 0;
-  job->window_blocks0 = 0;
-  if (options_.explain) {
-    job->path_metrics_start = db_->metrics()->Snapshot();
-    job->path_t0 = db_->clock()->now();
-    job->path_io0 = db_->clock()->io_wait_time();
-    job->path_count_before = job->result.count;
-  }
+  ResetPathState(job);
   return job->plan.root()->Open();
 }
 
@@ -537,7 +510,7 @@ std::size_t WorkloadExecutor::WriterLimit() const {
                 static_cast<double>(writer_commit_attempts_);
   const WriterAdmission est = EstimateWriterAdmission(
       options_.max_writers, p, writer_cost_ewma_,
-      static_cast<double>(options_.writer_retry_backoff),
+      static_cast<double>(kWriterRetryBackoff),
       options_.writer_max_retries);
   return est.prefer_optimistic ? options_.max_writers : 1;
 }
@@ -673,26 +646,6 @@ std::size_t WorkloadExecutor::PickNext(
       rr_cursor_ = active[pick];
       return pick;
     }
-    case WorkloadPolicy::kFewestPendingIos: {
-      // Queries with few reads on order are either near completion or
-      // starved for I/O; pulling them makes them submit, keeping the
-      // elevator pool deep. Ties go to the least recently pulled.
-      std::size_t best = 0;
-      std::size_t best_pending = std::numeric_limits<std::size_t>::max();
-      std::uint64_t best_stamp = std::numeric_limits<std::uint64_t>::max();
-      for (std::size_t i = 0; i < active.size(); ++i) {
-        const Job& job = jobs_[active[i]];
-        const std::size_t pending =
-            db_->buffer()->PendingFor(job.owner_id);
-        if (pending < best_pending ||
-            (pending == best_pending && job.last_pull < best_stamp)) {
-          best = i;
-          best_pending = pending;
-          best_stamp = job.last_pull;
-        }
-      }
-      return best;
-    }
     case WorkloadPolicy::kShortestRemainingCost: {
       std::vector<std::size_t> all(active.size());
       for (std::size_t i = 0; i < active.size(); ++i) all[i] = i;
@@ -772,12 +725,6 @@ std::size_t WorkloadExecutor::PickNext(
 
 Status WorkloadExecutor::BeginRun() {
   NAVPATH_RETURN_NOT_OK(ValidateWorkloadOptions(options_));
-  if (options_.shards != nullptr) {
-    return Status::InvalidArgument(
-        "a plain WorkloadExecutor runs one shard; drive sharded stores "
-        "through ShardedWorkloadExecutor, which routes each query and "
-        "fans sub-queries out to per-shard executors");
-  }
   if (!stepping_) n_total_ = jobs_.size();
   if (options_.cold_start) {
     NAVPATH_RETURN_NOT_OK(db_->ResetMeasurement());
@@ -803,27 +750,6 @@ Status WorkloadExecutor::BeginRun() {
   window_start_ = db_->metrics()->Snapshot();
   window_t0_ = db_->clock()->now();
   window_cpu0_ = db_->clock()->cpu_time();
-
-  // Optionally bound each query's outstanding prefetches. Unbounded is
-  // the default and usually the right call: claimed-frame protection in
-  // the buffer keeps install-ahead pages alive, and yielding (below)
-  // means deep pools are an asset, not a liability. The explicit cap
-  // exists for configurations whose buffer genuinely cannot hold the
-  // aggregate in-flight set. Stepping drivers admit jobs that are not
-  // known yet, so they always run concurrently-capped (see Add).
-  const std::size_t n_target =
-      options_.max_concurrent == 0
-          ? jobs_.size()
-          : std::min(jobs_.size(), options_.max_concurrent);
-  if ((n_target > 1 || stepping_) && options_.prefetch_inflight_cap > 0) {
-    for (Job& job : jobs_) {
-      if (job.plan_options.kind == PlanKind::kXSchedule) {
-        job.plan_options.prefetch_inflight_cap =
-            options_.prefetch_inflight_cap;
-        job.footprint = FootprintFor(job);
-      }
-    }
-  }
 
   budget_ = std::max<std::size_t>(
       1, static_cast<std::size_t>(
@@ -925,7 +851,7 @@ Result<std::size_t> WorkloadExecutor::PullOnce() {
         const unsigned shift = static_cast<unsigned>(
             std::min<std::uint64_t>(job.result.aborts - 1, 6));
         db_->clock()->WaitUntil(db_->clock()->now() +
-                                (options_.writer_retry_backoff << shift));
+                                (kWriterRetryBackoff << shift));
         job.writer = options_.txn->BeginWrite();
         job.result.snapshot_seq = job.writer->base_seq();
         job.ops_done = 0;
@@ -1086,74 +1012,25 @@ Result<WorkloadResult> WorkloadExecutor::Run() {
   }
   stepping_ = false;
   NAVPATH_RETURN_NOT_OK(BeginRun());
-
-  // Sharing groups are planned after the prefetch caps settle, so the
-  // producers inherit the effective per-query options and the members'
-  // consumer footprints are not clobbered by the recomputation above.
   NAVPATH_RETURN_NOT_OK(PlanShareGroups());
 
+  // FIFO admission with head-of-line blocking: activate jobs in Add()
+  // order while the head has arrived and passes the gate.
   std::size_t next_admit = 0;
-
-  auto admit = [&]() -> Status {
-    while (next_admit < jobs_.size()) {
-      Job& job = jobs_[next_admit];
-      if (job.arrival > db_->clock()->now()) break;  // not yet in system
-      const bool have_slot =
-          options_.max_concurrent == 0 ||
-          run_active_.size() < options_.max_concurrent;
-      // A shared member's first admission also charges its group's
-      // producer footprint (once per group).
-      std::size_t charge = job.footprint;
-      if (job.share_group != kNoGroup &&
-          !groups_[job.share_group].charged) {
-        charge += groups_[job.share_group].footprint;
-      }
-      const bool fits =
-          run_active_.empty() || footprint_used_ + charge <= budget_;
-      // Writer admission (head-of-line): a queued writer waits until the
-      // active-writer count drops under the limit the cost model picks —
-      // max_writers while optimistic retries price below serialized
-      // queueing at the observed conflict rate, 1 otherwise.
-      const bool writer_ok = !job.is_write || writers_active_ < WriterLimit();
-      if (!have_slot || !fits || !writer_ok) break;
-      job.activated = true;
-      const Status started = StartNextPath(&job);
-      job.result.admitted_at = db_->clock()->now();
-      if (!started.ok()) {
-        // A plan that fails to open fails its query alone; the workload
-        // keeps serving (per-query status isolation).
-        job.result.status = started;
-        job.result.finished_at = db_->clock()->now();
-        job.plan = PathPlan();
-        job.snapshot.reset();
-        if (job.share_group != kNoGroup) LeaveShareGroup(&job);
-        job.done = true;
-        ++completed_;
-        ++next_admit;
-        continue;
-      }
-      // StartNextPath may have fallen back to private (pre-start
-      // detach), so the charge derives from the job's current state.
-      footprint_used_ += job.footprint;
-      if (job.share_group != kNoGroup) {
-        ShareGroup& group = groups_[job.share_group];
-        if (!group.charged) {
-          group.charged = true;
-          footprint_used_ += group.footprint;
-        }
-      }
-      run_active_.push_back(next_admit);
-      ++next_admit;
+  const auto admit = [&] {
+    while (next_admit < jobs_.size() &&
+           jobs_[next_admit].arrival <= db_->clock()->now() &&
+           CanAdmit(next_admit)) {
+      Activate(next_admit++);
     }
-    return Status::OK();
   };
-  NAVPATH_RETURN_NOT_OK(admit());
+  admit();
 
   while (!run_active_.empty() || next_admit < jobs_.size()) {
     if (run_active_.empty()) {
       // Open system, idle gap: nothing to run until the next arrival.
       db_->clock()->WaitUntil(jobs_[next_admit].arrival);
-      NAVPATH_RETURN_NOT_OK(admit());
+      admit();
       continue;
     }
     // Open-system arrivals join the active set mid-run; the gate keeps
@@ -1161,12 +1038,10 @@ Result<WorkloadResult> WorkloadExecutor::Run() {
     // sequence they had before arrivals existed.
     if (next_admit < jobs_.size() && jobs_[next_admit].arrival != 0 &&
         jobs_[next_admit].arrival <= db_->clock()->now()) {
-      NAVPATH_RETURN_NOT_OK(admit());
+      admit();
     }
     NAVPATH_ASSIGN_OR_RETURN(const std::size_t done, PullOnce());
-    if (done != kNoJob) {
-      NAVPATH_RETURN_NOT_OK(admit());
-    }
+    if (done != kNoJob) admit();
   }
 
   return CollectResult();
@@ -1204,27 +1079,43 @@ Status WorkloadExecutor::ActivateJob(std::size_t index) {
         "writer concurrency limit reached (admission runs writers "
         "serialized or optimistically up to max_writers)");
   }
+  Activate(index);
+  return Status::OK();
+}
+
+void WorkloadExecutor::Activate(std::size_t index) {
+  Job& job = jobs_[index];
   job.activated = true;
   const Status started = StartNextPath(&job);
   job.result.admitted_at = db_->clock()->now();
   if (!started.ok()) {
-    // Per-query isolation, as in Run()'s admission: the driver's loop
-    // survives one query's bad plan; the job reports the error itself.
+    // A plan that fails to open fails its query alone; the workload and
+    // the serving loop keep running (per-query status isolation).
     job.result.status = started;
     job.result.finished_at = db_->clock()->now();
     job.plan = PathPlan();
     job.snapshot.reset();
+    if (job.share_group != kNoGroup) LeaveShareGroup(&job);
     job.done = true;
     ++completed_;
-    return Status::OK();
+    return;
   }
+  // StartNextPath may have fallen back to private (pre-start detach), so
+  // the charge derives from the job's current state.
   footprint_used_ += job.footprint;
+  if (job.share_group != kNoGroup) {
+    ShareGroup& group = groups_[job.share_group];
+    if (!group.charged) {
+      group.charged = true;
+      footprint_used_ += group.footprint;
+    }
+  }
   // Keep the active set ascending by job id: the rotation picks
-  // (kRoundRobin, hybrid I/O set) rely on that order for fairness.
+  // (kRoundRobin, hybrid I/O set) rely on that order for fairness. Run()
+  // activates in job-id order, so there this appends.
   run_active_.insert(
       std::lower_bound(run_active_.begin(), run_active_.end(), index),
       index);
-  return Status::OK();
 }
 
 Status WorkloadExecutor::RetierJob(std::size_t index,
@@ -1251,10 +1142,6 @@ Status WorkloadExecutor::RetierJob(std::size_t index,
   }
   job.plan_options = plan;
   if (options_.explain) job.plan_options.profile = true;
-  if (options_.prefetch_inflight_cap > 0 &&
-      job.plan_options.kind == PlanKind::kXSchedule) {
-    job.plan_options.prefetch_inflight_cap = options_.prefetch_inflight_cap;
-  }
   ComputeEstimates(&job);
   job.footprint = FootprintFor(job);
   job.result.degraded = true;
@@ -1284,8 +1171,18 @@ bool WorkloadExecutor::CanAdmit(std::size_t index) const {
   const Job& job = jobs_[index];
   const bool have_slot = options_.max_concurrent == 0 ||
                          run_active_.size() < options_.max_concurrent;
+  // A shared member's first admission also charges its group's producer
+  // footprint (once per group).
+  std::size_t charge = job.footprint;
+  if (job.share_group != kNoGroup && !groups_[job.share_group].charged) {
+    charge += groups_[job.share_group].footprint;
+  }
   const bool fits =
-      run_active_.empty() || footprint_used_ + job.footprint <= budget_;
+      run_active_.empty() || footprint_used_ + charge <= budget_;
+  // Writer admission (head-of-line): a queued writer waits until the
+  // active-writer count drops under the limit the cost model picks —
+  // max_writers while optimistic retries price below serialized
+  // queueing at the observed conflict rate, 1 otherwise.
   const bool writer_ok = !job.is_write || writers_active_ < WriterLimit();
   return have_slot && fits && writer_ok;
 }

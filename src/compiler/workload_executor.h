@@ -11,11 +11,8 @@
 // and admission control keeps the aggregate prefetch footprint of the
 // active queries within the buffer budget.
 //
-// Four interleaving policies are provided:
+// Three interleaving policies are provided:
 //   kRoundRobin          — one pull per active query in turn (fairness),
-//   kFewestPendingIos    — pull the query with the fewest in-flight
-//                          prefetches, nudging it to submit more and keep
-//                          the elevator pool deep,
 //   kShortestRemainingCost — shortest-expected-remaining-cost first, using
 //                          the cost model's per-path estimates (SJF-style,
 //                          minimizes mean turnaround but serializes the
@@ -52,11 +49,8 @@
 
 namespace navpath {
 
-class ShardedStore;  // src/shard — never dereferenced at this layer
-
 enum class WorkloadPolicy {
   kRoundRobin,
-  kFewestPendingIos,
   kShortestRemainingCost,
   kHybrid,
 };
@@ -75,12 +69,6 @@ struct WorkloadOptions {
   /// head of the admission queue is always admitted, even if its
   /// footprint alone exceeds the budget (a lone query must run).
   double buffer_budget_fraction = 0.75;
-
-  /// Optional per-query bound on outstanding prefetches while
-  /// interleaving; 0 (default) leaves submission unbounded — claimed-frame
-  /// eviction protection keeps the aggregate in-flight set alive, and
-  /// deeper pools only help the elevator.
-  std::size_t prefetch_inflight_cap = 0;
 
   /// Collect result nodes (document order) for node-mode queries.
   bool collect_nodes = false;
@@ -165,16 +153,12 @@ struct WorkloadOptions {
   /// Bounded retry of a write transaction whose commit loses the
   /// first-committer race (Status::Aborted): the job re-begins against
   /// the new head and re-applies its ops, up to this many times, after an
-  /// exponential backoff in simulated time. A transaction that exhausts
-  /// the budget fails with the final Aborted status. Retries only ever
+  /// exponential backoff in simulated time (100 µs, doubling per retry up
+  /// to 64x). A transaction that exhausts the budget fails with the final
+  /// Aborted status. Retries only ever
   /// trigger with max_writers > 1 (a serialized writer has nothing to
   /// conflict with inside one executor).
   std::size_t writer_max_retries = 8;
-
-  /// Base backoff before an aborted writer's first retry; doubles per
-  /// retry (capped at 64x). Simulated time, charged via the clock, so
-  /// backed-off writers yield the window to their conflictors.
-  SimTime writer_retry_backoff = 100 * kSimMicrosecond;
 
   /// Group commit: WriteOps applied per scheduling pull of a writer. 1 —
   /// the default — keeps the historical one-op-per-pull interleaving;
@@ -182,16 +166,6 @@ struct WorkloadOptions {
   /// batch and commit after the pull that applies the last op, raising
   /// commit throughput at the price of coarser write/read interleaving.
   std::size_t writer_batch = 1;
-
-  /// Sharded store (src/shard) this workload fans out over. The plain
-  /// WorkloadExecutor never dereferences it: the knob lives here so every
-  /// entry point (Run, BeginStepping, the serving layer) validates shard
-  /// combinations with one rule — ValidateWorkloadOptions rejects
-  /// shards+txn and shards+enable_sharing — and BeginRun rejects any
-  /// non-null value, directing callers to ShardedWorkloadExecutor, which
-  /// splits the workload into per-shard executors whose options carry
-  /// shards == nullptr again.
-  const ShardedStore* shards = nullptr;
 };
 
 /// One primitive of a write transaction submitted via AddWrite.
@@ -354,20 +328,20 @@ class WorkloadExecutor {
   std::size_t size() const { return jobs_.size(); }
 
   /// Runs every admitted query to completion and reports per-query and
-  /// aggregate outcomes. Jobs are admitted in Add() order as budget and
-  /// slots free up; active jobs are interleaved by the policy. The
+  /// aggregate outcomes. Jobs are admitted in Add() order as they arrive
+  /// and CanAdmit passes; active jobs are interleaved by the policy. The
   /// executor can be reused: Run() clears the job list afterwards.
   Result<WorkloadResult> Run();
 
   // --- Stepping interface (serving-layer driver) -----------------------
   //
-  // Run() owns its admission policy (FIFO in Add() order). A serving
-  // front-end (src/serve) instead drives the engine one scheduling
-  // decision at a time and decides itself which job to activate when —
-  // per-tenant queues, weighted fair sharing, overload degradation. The
-  // pull loop (PullOnce) is the very same code Run() executes, so a
-  // stepping driver that mirrors Run()'s admission policy reproduces its
-  // schedule byte for byte.
+  // Run() is a FIFO driver over CanAdmit, activation and the pull loop.
+  // A serving front-end (src/serve) instead drives the engine one
+  // scheduling decision at a time and decides itself which job to
+  // activate when — per-tenant queues, weighted fair sharing, overload
+  // degradation. ActivateJob and StepOnce run the very same code Run()
+  // does, so a stepping driver that mirrors Run()'s admission policy
+  // reproduces its schedule byte for byte.
 
   /// Enters stepping mode: validates options, performs the cold start and
   /// measurement-window setup Run() would, and leaves admission to the
@@ -413,8 +387,10 @@ class WorkloadExecutor {
   std::size_t active_count() const { return run_active_.size(); }
   std::size_t footprint_used() const { return footprint_used_; }
   std::size_t footprint_budget() const { return budget_; }
-  /// Whether Run()'s admission gate would admit `index` right now: a free
-  /// slot and either an empty active set or room in the buffer budget.
+  /// Run()'s admission gate for `index` (arrival is the caller's check):
+  /// a free slot, an empty active set or room in the buffer budget (a
+  /// shared member's first admission also counts its group's producer
+  /// footprint), and for a writer a slot under WriterLimit().
   bool CanAdmit(std::size_t index) const;
   /// The cost model's up-front estimate for the whole job (sum over its
   /// paths; 0 without stats). The DRR admission quantum currency.
@@ -434,8 +410,7 @@ class WorkloadExecutor {
     SimTime deadline = 0;
     /// Buffer pages the job's prefetch state may occupy (admission).
     std::size_t footprint = 0;
-    /// Lifecycle under external admission (BeginStepping drivers). Run()
-    /// keeps its own next_admit_ cursor and leaves these in sync.
+    /// Lifecycle, set by Activate and FinishJob.
     bool activated = false;
     bool done = false;
 
@@ -512,10 +487,15 @@ class WorkloadExecutor {
   void ComputeEstimates(Job* job) const;
 
   /// Shared setup of Run() and BeginStepping(): option validation, cold
-  /// start, measurement-window snapshots, per-query prefetch caps, the
-  /// admission budget, and scheduler-state reset. `n_target` is the
-  /// effective concurrency bound used for the prefetch-cap decision.
+  /// start, measurement-window snapshots, the admission budget, and
+  /// scheduler-state reset.
   Status BeginRun();
+
+  /// The one activation path (Run() and ActivateJob): opens the job's
+  /// plan, charges its footprint (and its group's producer footprint on
+  /// the group's first admission) and inserts it into the active set in
+  /// job-id order. A plan that fails to open fails the job alone.
+  void Activate(std::size_t index);
 
   /// One scheduling decision over run_active_: pick, pull, account.
   /// Handles yields, results, path transitions, sharing detach/fallback,
@@ -565,6 +545,10 @@ class WorkloadExecutor {
 
   /// Builds and opens the plan for the job's next path.
   Status StartNextPath(Job* job);
+
+  /// Per-path reset for a freshly built plan: dedup set, progress count,
+  /// hybrid classification window and (explain) measurement window.
+  void ResetPathState(Job* job);
 
   /// Applies one WriteOp through the job's open writer transaction
   /// (insert or last-child-by-tag delete), bumping the result counters.

@@ -211,7 +211,7 @@ class Server {
   Status ProcessArrivals();
 
   /// Admission pass: global FIFO with head-of-line blocking in the normal
-  /// state (byte-identical to Run()'s admit()), deficit round-robin over
+  /// state (byte-identical to Run()'s admission), deficit round-robin over
   /// the tenant queues under overload.
   Status TryAdmit();
   Status AdmitFifo();

@@ -5,8 +5,11 @@
 // the whole machinery must survive injected transient faults.
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <memory>
 #include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "benchlib/harness.h"
@@ -14,6 +17,7 @@
 #include "storage/disk.h"
 #include "storage/fault_injector.h"
 #include "storage/page.h"
+#include "txn/txn.h"
 #include "xmark/generator.h"
 #include "xpath/parser.h"
 
@@ -92,8 +96,8 @@ TEST(WorkloadExecutorTest, AllPoliciesProduceIdenticalResults) {
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
 
   for (const WorkloadPolicy policy :
-       {WorkloadPolicy::kRoundRobin, WorkloadPolicy::kFewestPendingIos,
-        WorkloadPolicy::kShortestRemainingCost, WorkloadPolicy::kHybrid}) {
+       {WorkloadPolicy::kRoundRobin, WorkloadPolicy::kShortestRemainingCost,
+        WorkloadPolicy::kHybrid}) {
     auto run = RunWorkload(fixture->get(), queries, PlanKind::kXSchedule,
                            policy, 0);
     ASSERT_TRUE(run.ok())
@@ -139,8 +143,8 @@ TEST(WorkloadExecutorTest, PullScheduleIsDeterministicForEveryPolicy) {
   const std::vector<std::string> queries(std::begin(kQueries),
                                          std::end(kQueries));
   for (const WorkloadPolicy policy :
-       {WorkloadPolicy::kRoundRobin, WorkloadPolicy::kFewestPendingIos,
-        WorkloadPolicy::kShortestRemainingCost, WorkloadPolicy::kHybrid}) {
+       {WorkloadPolicy::kRoundRobin, WorkloadPolicy::kShortestRemainingCost,
+        WorkloadPolicy::kHybrid}) {
     auto first_fixture = XMarkFixture::Create(0.02);
     ASSERT_TRUE(first_fixture.ok()) << first_fixture.status().ToString();
     auto second_fixture = XMarkFixture::Create(0.02);
@@ -302,30 +306,121 @@ TEST(WorkloadExecutorTest, SurvivesTransientFaults) {
   EXPECT_GE(survived->total_time, expected->total_time);
 }
 
-TEST(WorkloadExecutorTest, ExplicitInflightCapStillProducesExactResults) {
-  auto fixture = XMarkFixture::Create(0.02);
-  ASSERT_TRUE(fixture.ok()) << fixture.status().ToString();
-  const std::vector<std::string> queries(std::begin(kQueries),
-                                         std::end(kQueries));
+/// Everything one run records: the on_pull schedule (job index, active
+/// set size) and per-query outcomes.
+struct RecordedRun {
+  std::vector<std::pair<std::size_t, std::size_t>> schedule;
+  WorkloadResult result;
+};
 
-  auto unbounded = RunWorkload(fixture->get(), queries, PlanKind::kXSchedule,
-                               WorkloadPolicy::kRoundRobin, 0);
-  ASSERT_TRUE(unbounded.ok()) << unbounded.status().ToString();
-
+/// An open mixed workload on a fresh fixture: reads and two writers
+/// (both inserting under the document root, so they conflict) arrive
+/// over time, at most four jobs and two writers active at once.
+/// `stepping` drives it through BeginStepping + CanAdmit/ActivateJob/
+/// StepOnce with FIFO admission in Add() order instead of Run().
+Result<RecordedRun> RunOpenMixed(WorkloadPolicy policy, bool stepping) {
+  NAVPATH_ASSIGN_OR_RETURN(std::unique_ptr<XMarkFixture> fixture,
+                           XMarkFixture::Create(0.005));
+  TxnManager txn(fixture->db(), fixture->mutable_doc());
+  const TagId bid = fixture->db()->tags()->Intern("bid");
+  auto bid_op = [&](const char* text) {
+    WriteOp op;
+    op.parent = fixture->doc().root;
+    op.tag = bid;
+    op.text = text;
+    return op;
+  };
+  RecordedRun run;
   WorkloadOptions options;
+  options.policy = policy;
+  options.stats = &fixture->stats();
   options.collect_nodes = true;
-  options.prefetch_inflight_cap = 8;
-  WorkloadExecutor executor(fixture->get()->db(), fixture->get()->doc(),
-                            options);
-  for (const std::string& q : queries) {
-    ASSERT_TRUE(executor.Add(q, PaperPlan(PlanKind::kXSchedule)).ok());
+  options.max_concurrent = 4;
+  options.txn = &txn;
+  options.max_writers = 2;
+  options.on_pull = [&](std::size_t job, std::size_t active) {
+    run.schedule.emplace_back(job, active);
+  };
+  WorkloadExecutor executor(fixture->db(), fixture->doc(), options);
+  SimTime arrival = 0;
+  for (std::size_t i = 0; i < 8; ++i) {
+    // The two writers (jobs 2 and 3) arrive together.
+    if (i != 3) arrival += 2 * kSimMillisecond;
+    if (i == 2 || i == 3) {
+      NAVPATH_RETURN_NOT_OK(
+          executor.AddWrite({bid_op("b"), bid_op("c")}, arrival));
+    } else {
+      NAVPATH_RETURN_NOT_OK(executor.Add(kQueries[i % std::size(kQueries)],
+                                         PaperPlan(PlanKind::kXSchedule),
+                                         arrival));
+    }
   }
-  auto capped = executor.Run();
-  ASSERT_TRUE(capped.ok()) << capped.status().ToString();
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(capped->queries[i].count, unbounded->queries[i].count);
-    EXPECT_EQ(OrdersOf(capped->queries[i].nodes),
-              OrdersOf(unbounded->queries[i].nodes));
+  if (!stepping) {
+    NAVPATH_ASSIGN_OR_RETURN(run.result, executor.Run());
+    return run;
+  }
+
+  const std::size_t n = executor.size();
+  SimClock* clock = fixture->db()->clock();
+  NAVPATH_RETURN_NOT_OK(executor.BeginStepping(n));
+  std::size_t next = 0;
+  auto admit = [&]() -> Status {
+    while (next < n && executor.JobArrival(next) <= clock->now() &&
+           executor.CanAdmit(next)) {
+      NAVPATH_RETURN_NOT_OK(executor.ActivateJob(next++));
+    }
+    return Status::OK();
+  };
+  NAVPATH_RETURN_NOT_OK(admit());
+  // Admitting after every step tries the gate at Run()'s admission points
+  // and more; without sharing, only a completion or an arrival opens it.
+  while (executor.active_count() > 0 || next < n) {
+    if (executor.active_count() == 0) {
+      clock->WaitUntil(executor.JobArrival(next));
+    } else {
+      NAVPATH_RETURN_NOT_OK(executor.StepOnce().status());
+    }
+    NAVPATH_RETURN_NOT_OK(admit());
+  }
+  NAVPATH_ASSIGN_OR_RETURN(run.result, executor.EndStepping());
+  return run;
+}
+
+TEST(WorkloadExecutorTest, RunIsAFifoDriverOverTheSteppingPrimitives) {
+  for (const WorkloadPolicy policy :
+       {WorkloadPolicy::kRoundRobin, WorkloadPolicy::kHybrid}) {
+    auto ran = RunOpenMixed(policy, /*stepping=*/false);
+    ASSERT_TRUE(ran.ok()) << ran.status().ToString();
+    auto stepped = RunOpenMixed(policy, /*stepping=*/true);
+    ASSERT_TRUE(stepped.ok()) << stepped.status().ToString();
+    const char* name = WorkloadPolicyName(policy);
+
+    EXPECT_EQ(ran->schedule, stepped->schedule) << name;
+    EXPECT_EQ(ran->result.total_time, stepped->result.total_time) << name;
+    const auto& a = ran->result.queries;
+    const auto& b = stepped->result.queries;
+    ASSERT_EQ(a.size(), b.size()) << name;
+    bool queued = false;
+    std::uint64_t aborts = 0;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_TRUE(a[i].status.ok()) << name << " job " << i << ": "
+                                    << a[i].status.ToString();
+      EXPECT_EQ(a[i].status.ToString(), b[i].status.ToString()) << name;
+      EXPECT_EQ(a[i].count, b[i].count) << name << " job " << i;
+      EXPECT_EQ(OrdersOf(a[i].nodes), OrdersOf(b[i].nodes)) << name;
+      EXPECT_EQ(a[i].admitted_at, b[i].admitted_at) << name << " job " << i;
+      EXPECT_EQ(a[i].finished_at, b[i].finished_at) << name << " job " << i;
+      EXPECT_EQ(a[i].pulls, b[i].pulls) << name << " job " << i;
+      EXPECT_EQ(a[i].snapshot_seq, b[i].snapshot_seq) << name;
+      EXPECT_EQ(a[i].commit_seq, b[i].commit_seq) << name;
+      EXPECT_EQ(a[i].aborts, b[i].aborts) << name;
+      queued |= a[i].admitted_at > a[i].arrival;
+      aborts += a[i].aborts;
+    }
+    // The workload exercises what the two drivers must agree on: jobs
+    // waited at the gate, and the writers raced.
+    EXPECT_TRUE(queued) << name;
+    EXPECT_GT(aborts, 0u) << name;
   }
 }
 
