@@ -34,7 +34,7 @@ int main() {
 
     auto query = ParseQuery(kQ7, db->tags());
     query.status().AbortIfNotOk();
-    auto shared = ExecuteQuerySharedScan(db, (*fixture)->doc(), *query);
+    auto shared = ExecuteQuerySharedScan(db, (*fixture)->doc(), *query, {});
     shared.status().AbortIfNotOk();
     PrintTableRow({"Q7", "shared",
                    FormatSeconds(shared->combined.total_seconds()),
@@ -66,7 +66,7 @@ int main() {
                    "-"});
     auto query = ParseQuery(batch, db->tags());
     query.status().AbortIfNotOk();
-    auto shared = ExecuteQuerySharedScan(db, (*fixture)->doc(), *query);
+    auto shared = ExecuteQuerySharedScan(db, (*fixture)->doc(), *query, {});
     shared.status().AbortIfNotOk();
     PrintTableRow({"Q6'+Q7", "shared",
                    FormatSeconds(shared->combined.total_seconds()),

@@ -23,21 +23,7 @@ struct PathLane {
 
 Result<SharedScanResult> ExecuteQuerySharedScan(
     Database* db, const ImportedDocument& doc, const PathQuery& query,
-    bool cold_start) {
-  SharedScanOptions options;
-  options.cold_start = cold_start;
-  return ExecuteQuerySharedScan(db, doc, query, options);
-}
-
-Result<SharedScanResult> ExecuteQuerySharedScan(
-    Database* db, const ImportedDocument& doc, const PathQuery& query,
     const SharedScanOptions& options) {
-  const bool cold_start = options.cold_start;
-  if (options.s_budget != 0) {
-    return Status::InvalidArgument(
-        "shared scan cannot honor an s_budget: fallback mode would make "
-        "one lane navigate across borders mid-scan; use ExecuteQuery");
-  }
   if (query.paths.empty()) {
     return Status::InvalidArgument("query without paths");
   }
@@ -51,7 +37,7 @@ Result<SharedScanResult> ExecuteQuerySharedScan(
           "shared scan does not evaluate predicates; use ExecuteQuery");
     }
   }
-  if (cold_start) {
+  if (options.cold_start) {
     NAVPATH_RETURN_NOT_OK(db->ResetMeasurement());
   }
 

@@ -61,23 +61,16 @@ struct SharedScanResult {
 struct SharedScanOptions {
   /// Reset buffer/clock/metrics before the run.
   bool cold_start = true;
-  /// Memory budget for each lane's speculative structure S. Shared scan
-  /// cannot honor one: fallback mode (Sec. 5.4.6) would make one lane
-  /// navigate across borders while the others still speculate against
-  /// the pinned cluster. Any nonzero value is rejected with
-  /// InvalidArgument — use ExecuteQuery for budgeted evaluation.
-  std::size_t s_budget = 0;
 };
 
-/// Evaluates all paths of `query` in one sequential scan.
+/// Evaluates all paths of `query` in one sequential scan. Each lane's
+/// speculative structure S is unbounded: fallback mode (Sec. 5.4.6) would
+/// make one lane navigate across borders while the others still
+/// speculate against the pinned cluster, so budgeted evaluation goes
+/// through ExecuteQuery.
 Result<SharedScanResult> ExecuteQuerySharedScan(
     Database* db, const ImportedDocument& doc, const PathQuery& query,
     const SharedScanOptions& options);
-
-/// Back-compat convenience overload (default options but cold_start).
-Result<SharedScanResult> ExecuteQuerySharedScan(
-    Database* db, const ImportedDocument& doc, const PathQuery& query,
-    bool cold_start = true);
 
 }  // namespace navpath
 

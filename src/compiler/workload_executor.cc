@@ -723,9 +723,9 @@ std::size_t WorkloadExecutor::PickNext(
   NAVPATH_UNREACHABLE();
 }
 
-Status WorkloadExecutor::BeginRun() {
+Status WorkloadExecutor::BeginRun(std::size_t expected_jobs) {
   NAVPATH_RETURN_NOT_OK(ValidateWorkloadOptions(options_));
-  if (!stepping_) n_total_ = jobs_.size();
+  n_total_ = expected_jobs;
   if (options_.cold_start) {
     NAVPATH_RETURN_NOT_OK(db_->ResetMeasurement());
   }
@@ -1006,67 +1006,92 @@ WorkloadResult WorkloadExecutor::CollectResult() {
   return result;
 }
 
+class WorkloadExecutor::FifoAdmission final : public Admission {
+ public:
+  explicit FifoAdmission(WorkloadExecutor* executor) : e_(executor) {}
+
+  SimTime NextArrival() const override {
+    return next_ < e_->jobs_.size() ? e_->jobs_[next_].arrival : kNone;
+  }
+  // Activates jobs in Add() order while the head has arrived and passes
+  // the gate.
+  Status Arrive() override {
+    while (next_ < e_->jobs_.size() &&
+           e_->jobs_[next_].arrival <= e_->db_->clock()->now() &&
+           e_->CanAdmit(next_)) {
+      e_->Activate(next_++);
+    }
+    return Status::OK();
+  }
+  Status Finished(std::size_t /*job*/) override { return Arrive(); }
+
+ private:
+  WorkloadExecutor* e_;
+  std::size_t next_ = 0;
+};
+
 Result<WorkloadResult> WorkloadExecutor::Run() {
   if (jobs_.empty()) {
     return Status::InvalidArgument("empty workload");
   }
-  stepping_ = false;
-  NAVPATH_RETURN_NOT_OK(BeginRun());
+  NAVPATH_RETURN_NOT_OK(BeginRun(jobs_.size()));
   NAVPATH_RETURN_NOT_OK(PlanShareGroups());
-
-  // FIFO admission with head-of-line blocking: activate jobs in Add()
-  // order while the head has arrived and passes the gate.
-  std::size_t next_admit = 0;
-  const auto admit = [&] {
-    while (next_admit < jobs_.size() &&
-           jobs_[next_admit].arrival <= db_->clock()->now() &&
-           CanAdmit(next_admit)) {
-      Activate(next_admit++);
-    }
-  };
-  admit();
-
-  while (!run_active_.empty() || next_admit < jobs_.size()) {
-    if (run_active_.empty()) {
-      // Open system, idle gap: nothing to run until the next arrival.
-      db_->clock()->WaitUntil(jobs_[next_admit].arrival);
-      admit();
-      continue;
-    }
-    // Open-system arrivals join the active set mid-run; the gate keeps
-    // closed workloads (every arrival == 0) on the exact admission
-    // sequence they had before arrivals existed.
-    if (next_admit < jobs_.size() && jobs_[next_admit].arrival != 0 &&
-        jobs_[next_admit].arrival <= db_->clock()->now()) {
-      admit();
-    }
-    NAVPATH_ASSIGN_OR_RETURN(const std::size_t done, PullOnce());
-    if (done != kNoJob) admit();
-  }
-
-  return CollectResult();
+  FifoAdmission fifo(this);
+  return Drive(&fifo);
 }
 
-Status WorkloadExecutor::BeginStepping(std::size_t expected_jobs) {
+Result<WorkloadResult> WorkloadExecutor::Run(Admission* admission,
+                                             std::size_t expected_jobs) {
   if (options_.enable_sharing) {
     return Status::InvalidArgument(
         "cross-query sharing plans the whole workload up front and is "
         "not available under external admission");
   }
-  stepping_ = true;
-  n_total_ = expected_jobs;
-  const Status begun = BeginRun();
-  if (!begun.ok()) stepping_ = false;
-  return begun;
+  NAVPATH_RETURN_NOT_OK(BeginRun(expected_jobs));
+  return Drive(admission);
 }
 
-Status WorkloadExecutor::ActivateJob(std::size_t index) {
-  if (!stepping_) {
-    return Status::InvalidArgument("not in stepping mode");
+Result<WorkloadResult> WorkloadExecutor::Drive(Admission* admission) {
+  in_loop_ = true;
+  const Status looped = [&]() -> Status {
+    NAVPATH_RETURN_NOT_OK(admission->Arrive());
+    for (;;) {
+      const SimTime next = admission->NextArrival();
+      if (run_active_.empty()) {
+        // Open system, idle gap: nothing to run until the next arrival.
+        if (next == Admission::kNone) return Status::OK();
+        db_->clock()->WaitUntil(next);
+        NAVPATH_RETURN_NOT_OK(admission->Arrive());
+        continue;
+      }
+      // Open-system arrivals join the active set mid-run; the gate keeps
+      // closed workloads (every arrival == 0) on the exact admission
+      // sequence they had before arrivals existed.
+      if (next != 0 && next <= db_->clock()->now()) {
+        NAVPATH_RETURN_NOT_OK(admission->Arrive());
+      }
+      NAVPATH_ASSIGN_OR_RETURN(const std::size_t done, PullOnce());
+      if (done != kNoJob) NAVPATH_RETURN_NOT_OK(admission->Finished(done));
+    }
+  }();
+  in_loop_ = false;
+  NAVPATH_RETURN_NOT_OK(looped);
+  return CollectResult();
+}
+
+Status WorkloadExecutor::CheckAdmissionCall(std::size_t index) const {
+  if (!in_loop_) {
+    return Status::InvalidArgument(
+        "callable only from an Admission hook while Run drives the loop");
   }
   if (index >= jobs_.size()) {
     return Status::InvalidArgument("no such job");
   }
+  return Status::OK();
+}
+
+Status WorkloadExecutor::ActivateJob(std::size_t index) {
+  NAVPATH_RETURN_NOT_OK(CheckAdmissionCall(index));
   Job& job = jobs_[index];
   if (job.activated || job.done) {
     return Status::InvalidArgument("job already activated");
@@ -1111,8 +1136,8 @@ void WorkloadExecutor::Activate(std::size_t index) {
     }
   }
   // Keep the active set ascending by job id: the rotation picks
-  // (kRoundRobin, hybrid I/O set) rely on that order for fairness. Run()
-  // activates in job-id order, so there this appends.
+  // (kRoundRobin, hybrid I/O set) rely on that order for fairness. FIFO
+  // admission activates in job-id order, so there this appends.
   run_active_.insert(
       std::lower_bound(run_active_.begin(), run_active_.end(), index),
       index);
@@ -1120,12 +1145,7 @@ void WorkloadExecutor::Activate(std::size_t index) {
 
 Status WorkloadExecutor::RetierJob(std::size_t index,
                                    const PlanOptions& plan) {
-  if (!stepping_) {
-    return Status::InvalidArgument("not in stepping mode");
-  }
-  if (index >= jobs_.size()) {
-    return Status::InvalidArgument("no such job");
-  }
+  NAVPATH_RETURN_NOT_OK(CheckAdmissionCall(index));
   Job& job = jobs_[index];
   // Writers are rejected before the lifecycle check: a write transaction
   // has no plan tier to degrade to in ANY state — in particular, one
@@ -1146,24 +1166,6 @@ Status WorkloadExecutor::RetierJob(std::size_t index,
   job.footprint = FootprintFor(job);
   job.result.degraded = true;
   return Status::OK();
-}
-
-Result<std::size_t> WorkloadExecutor::StepOnce() {
-  if (!stepping_) {
-    return Status::InvalidArgument("not in stepping mode");
-  }
-  if (run_active_.empty()) {
-    return Status::InvalidArgument("nothing active to pull");
-  }
-  return PullOnce();
-}
-
-Result<WorkloadResult> WorkloadExecutor::EndStepping() {
-  if (!stepping_) {
-    return Status::InvalidArgument("not in stepping mode");
-  }
-  stepping_ = false;
-  return CollectResult();
 }
 
 bool WorkloadExecutor::CanAdmit(std::size_t index) const {

@@ -28,10 +28,14 @@
 // With max_concurrent == 1 the executor degenerates to back-to-back
 // execution, which is the baseline the workload benchmarks compare
 // against.
+//
+// There is one pull loop; which job is activated when is decided by an
+// Admission plugged into it (Run()'s own FIFO, or the serving layer's).
 #ifndef NAVPATH_COMPILER_WORKLOAD_EXECUTOR_H_
 #define NAVPATH_COMPILER_WORKLOAD_EXECUTOR_H_
 
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -126,7 +130,8 @@ struct WorkloadOptions {
   /// Test/diagnostic hook: invoked before every scheduling decision's
   /// pull with the Add()-order index of the chosen job and the size of
   /// the active set at that moment. Null (the default) costs nothing;
-  /// the hook runs outside the simulated clock.
+  /// the hook runs outside the simulated clock. It may inspect the
+  /// executor but must not activate jobs.
   std::function<void(std::size_t job_index, std::size_t active_size)>
       on_pull;
 
@@ -193,8 +198,8 @@ struct WriteOp {
 
 /// Entry validation for WorkloadOptions: a serving front-end feeds these
 /// from per-tenant configuration, so malformed budgets must surface as
-/// InvalidArgument instead of tripping asserts mid-run. Checked by Run()
-/// and BeginStepping().
+/// InvalidArgument instead of tripping asserts mid-run. Checked by both
+/// Run overloads.
 Status ValidateWorkloadOptions(const WorkloadOptions& options);
 
 /// Outcome of one query of the workload.
@@ -282,6 +287,31 @@ struct WorkloadResult {
   double mean_elevator_depth() const { return metrics.MeanElevatorDepth(); }
 };
 
+/// The admission seam of WorkloadExecutor's pull loop. The loop owns
+/// pulling, idle waits and completions; an Admission decides which job
+/// is activated when, through CanAdmit and ActivateJob, and may Add()
+/// jobs as they arrive. Run() uses an Add()-order FIFO; the serving
+/// layer (src/serve) plugs in its tenant queues and overload control.
+class Admission {
+ public:
+  static constexpr SimTime kNone = std::numeric_limits<SimTime>::max();
+
+  virtual ~Admission() = default;
+
+  /// Arrival time of the next work not yet taken in, kNone if none. An
+  /// idle loop waits until then and calls Arrive(); a busy one calls
+  /// Arrive() before a pull once it is due and nonzero, so a closed
+  /// workload (all arrivals 0) is admitted only at the start and on
+  /// completions.
+  virtual SimTime NextArrival() const = 0;
+
+  /// Takes in the arrivals due now and admits. Also called at the start.
+  virtual Status Arrive() = 0;
+
+  /// Called after the pull on which job `job` completed or failed.
+  virtual Status Finished(std::size_t job) = 0;
+};
+
 class WorkloadExecutor {
  public:
   /// `db` and `doc` must outlive the executor; `doc` must be imported
@@ -333,30 +363,18 @@ class WorkloadExecutor {
   /// executor can be reused: Run() clears the job list afterwards.
   Result<WorkloadResult> Run();
 
-  // --- Stepping interface (serving-layer driver) -----------------------
-  //
-  // Run() is a FIFO driver over CanAdmit, activation and the pull loop.
-  // A serving front-end (src/serve) instead drives the engine one
-  // scheduling decision at a time and decides itself which job to
-  // activate when — per-tenant queues, weighted fair sharing, overload
-  // degradation. ActivateJob and StepOnce run the very same code Run()
-  // does, so a stepping driver that mirrors Run()'s admission policy
-  // reproduces its schedule byte for byte.
+  /// Runs the same loop with `admission` deciding which job to activate
+  /// when. `expected_jobs` declares the workload size the admission will
+  /// feed in: count-relative scheduling rules (the hybrid window-widening
+  /// point) use it, so an admission that adds jobs lazily at arrival
+  /// still reproduces Run()'s decisions; 0 means unknown (the live job
+  /// count is used). Cross-query sharing is a whole-workload plan and is
+  /// not available under external admission (InvalidArgument).
+  Result<WorkloadResult> Run(Admission* admission, std::size_t expected_jobs);
 
-  /// Enters stepping mode: validates options, performs the cold start and
-  /// measurement-window setup Run() would, and leaves admission to the
-  /// caller. Jobs may still be Add()ed while stepping (nondecreasing
-  /// arrivals). `expected_jobs` declares the workload size the driver
-  /// intends to feed in: scheduling rules that depend on the total count
-  /// (the hybrid window-widening point) use it, so a driver that adds
-  /// jobs lazily at arrival time still reproduces Run()'s decisions. Pass
-  /// 0 when unknown (the live job count is used instead). Cross-query
-  /// sharing is a whole-workload plan and is not available under external
-  /// admission (InvalidArgument).
-  Status BeginStepping(std::size_t expected_jobs = 0);
-
-  /// Returned by StepOnce when no job completed on that decision.
-  static constexpr std::size_t kNoJob = static_cast<std::size_t>(-1);
+  // ActivateJob and RetierJob are callable only while a Run drives the
+  // loop, that is from its Admission hooks; elsewhere they return
+  // InvalidArgument.
 
   /// Activates job `index` (opens its plan, charges its footprint). The
   /// job must have arrived and not yet have been activated. A plan that
@@ -371,19 +389,7 @@ class WorkloadExecutor {
   /// footprint, and marks its result degraded.
   Status RetierJob(std::size_t index, const PlanOptions& plan);
 
-  /// Executes one scheduling decision over the activated jobs: picks per
-  /// policy, pulls once, and handles yields/completions exactly as
-  /// Run()'s loop does. Returns the jobs_ index of the job that completed
-  /// (or individually failed) on this decision, kNoJob otherwise.
-  /// InvalidArgument when nothing is active.
-  Result<std::size_t> StepOnce();
-
-  /// Leaves stepping mode: drains orphaned prefetches and reports the run
-  /// exactly as Run() does (per-query results in Add() order, window
-  /// deltas, scheduler snapshot). Clears the job list.
-  Result<WorkloadResult> EndStepping();
-
-  // Driver-side introspection (valid while stepping).
+  // Admission-side introspection.
   std::size_t active_count() const { return run_active_.size(); }
   std::size_t footprint_used() const { return footprint_used_; }
   std::size_t footprint_budget() const { return budget_; }
@@ -486,10 +492,23 @@ class WorkloadExecutor {
   /// RetierJob.
   void ComputeEstimates(Job* job) const;
 
-  /// Shared setup of Run() and BeginStepping(): option validation, cold
-  /// start, measurement-window snapshots, the admission budget, and
+  /// Run()'s admission: Add()-order FIFO with head-of-line blocking.
+  class FifoAdmission;
+
+  /// Returned by PullOnce when no job completed on that decision.
+  static constexpr std::size_t kNoJob = static_cast<std::size_t>(-1);
+
+  /// Setup shared by both Run overloads: option validation, cold start,
+  /// measurement-window snapshots, the admission budget, and
   /// scheduler-state reset.
-  Status BeginRun();
+  Status BeginRun(std::size_t expected_jobs);
+
+  /// The pull loop: pulls until nothing is active and nothing is left to
+  /// arrive, calling `admission`'s hooks, then reports the run.
+  Result<WorkloadResult> Drive(Admission* admission);
+
+  /// ActivateJob and RetierJob's guard: inside Drive, valid job index.
+  Status CheckAdmissionCall(std::size_t index) const;
 
   /// The one activation path (Run() and ActivateJob): opens the job's
   /// plan, charges its footprint (and its group's producer footprint on
@@ -510,8 +529,7 @@ class WorkloadExecutor {
   /// share group, and removes the job from the active set.
   void FinishJob(std::size_t active_pos);
 
-  /// Builds the final WorkloadResult from the measurement window (shared
-  /// by Run and EndStepping).
+  /// Builds the final WorkloadResult from the measurement window.
   WorkloadResult CollectResult();
 
   /// Admission footprint of `job`: the static prefetch-state bound,
@@ -611,16 +629,17 @@ class WorkloadExecutor {
   WorkloadOptions options_;
   std::vector<Job> jobs_;
   std::vector<ShareGroup> groups_;
-  /// Run/stepping state: the active set (jobs_ indices), the decision
-  /// stamp, the yield streak, and the measurement-window bases.
+  /// Run state: the active set (jobs_ indices), the decision stamp, the
+  /// yield streak, and the measurement-window bases.
   std::vector<std::size_t> run_active_;
   std::uint64_t run_decisions_ = 0;
   std::size_t consecutive_yields_ = 0;
   std::size_t budget_ = 0;
-  bool stepping_ = false;
+  /// Drive is running the pull loop (ActivateJob/RetierJob's guard).
+  bool in_loop_ = false;
   /// Workload size the count-relative scheduling rules divide by: the
-  /// Add()ed job count under Run(), the driver-declared expected total
-  /// under stepping (where jobs may not all exist yet).
+  /// Add()ed job count under Run(), the admission-declared expected total
+  /// under Run(Admission*, ...) (where jobs may not all exist yet).
   std::size_t n_total_ = 0;
   Metrics window_start_;
   SimTime window_t0_ = 0;

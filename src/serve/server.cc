@@ -13,12 +13,13 @@ namespace {
 
 constexpr std::size_t kNoSub = static_cast<std::size_t>(-1);
 
-/// Recovery hysteresis margins: the EWMA must drop under this fraction of
-/// the SLO and the buffer footprint under this fraction of the budget
-/// before an evaluation counts as healthy — recovering at exactly the
-/// entry threshold would oscillate.
-constexpr double kSloRecoverFraction = 0.8;
+/// Buffer pressure: the active set's footprint at or above this fraction
+/// of the budget counts as hot, both for escalation and against recovery.
 constexpr double kBufferHotFraction = 0.9;
+
+/// In the shed state a tenant whose queue holds this fraction of its
+/// capacity (rounded up) sheds new arrivals early.
+constexpr double kShedOccupancy = 0.5;
 
 }  // namespace
 
@@ -49,12 +50,6 @@ Status ValidateServeOptions(const ServeOptions& options) {
                                      tenant.name + "'");
     }
   }
-  if (!(options.ewma_alpha > 0.0) || options.ewma_alpha > 1.0) {
-    return Status::InvalidArgument("ewma_alpha must be in (0, 1]");
-  }
-  if (!(options.shed_occupancy > 0.0) || options.shed_occupancy > 1.0) {
-    return Status::InvalidArgument("shed_occupancy must be in (0, 1]");
-  }
   if (options.degrade_queue_depth == 0) {
     return Status::InvalidArgument("degrade_queue_depth must be positive");
   }
@@ -64,9 +59,6 @@ Status ValidateServeOptions(const ServeOptions& options) {
   }
   if (options.recover_hold == 0) {
     return Status::InvalidArgument("recover_hold must be positive");
-  }
-  if (!(options.drr_quantum >= 0.0)) {
-    return Status::InvalidArgument("drr_quantum must be nonnegative");
   }
   // The txn+sharing combination gets its own message ahead of the
   // generic sharing rejection: a tenant config that sets both must learn
@@ -159,7 +151,7 @@ Status Server::ProcessArrivals() {
     // flooding tenant cannot consume the whole system's headroom while
     // the controller is already rejecting work.
     const std::size_t early_cap = static_cast<std::size_t>(std::ceil(
-        options_.shed_occupancy * static_cast<double>(spec.queue_capacity)));
+        kShedOccupancy * static_cast<double>(spec.queue_capacity)));
     const bool full = queue.size() >= spec.queue_capacity;
     const bool early = state_ == OverloadState::kShed &&
                        queue.size() >= early_cap;
@@ -232,7 +224,7 @@ Status Server::Activate(std::size_t sub) {
       .Record(static_cast<std::uint64_t>(db_->clock()->now() - s.arrival));
   if (executor_.active_count() == active_before) {
     // The plan failed to open: the job finished instantly with its error
-    // (per-query isolation) and will never pass through StepOnce.
+    // (per-query isolation) and will never reach the pull loop.
     OnJobFinished(job);
   }
   return Status::OK();
@@ -261,19 +253,16 @@ Status Server::AdmitDrr() {
   // *work*, not query counts — a weight-2 tenant gets twice the estimated
   // cost through per round. The pass loop ends when a full pass admits
   // nothing (budget exhausted or heads blocked by CanAdmit) — except
-  // while the executor is idle, when it must first admit something.
-  double quantum = options_.drr_quantum;
-  if (quantum <= 0.0) {
-    double sum = 0.0;
-    std::size_t n = 0;
-    for (const std::deque<std::size_t>& queue : queues_) {
-      if (queue.empty()) continue;
-      sum += std::max(1.0, executor_.EstimatedCost(job_of_[queue.front()]));
-      ++n;
-    }
-    quantum = n == 0 ? 1.0 : sum / static_cast<double>(n);
+  // while the executor is idle, when it must first admit something. The
+  // quantum is the mean estimated cost of the queue heads.
+  double sum = 0.0;
+  std::size_t n = 0;
+  for (const std::deque<std::size_t>& queue : queues_) {
+    if (queue.empty()) continue;
+    sum += std::max(1.0, executor_.EstimatedCost(job_of_[queue.front()]));
+    ++n;
   }
-  bool admitted_any = false;
+  const double quantum = n == 0 ? 1.0 : sum / static_cast<double>(n);
   for (;;) {
     bool progress = false;
     bool admissible_head = false;
@@ -298,18 +287,21 @@ Status Server::AdmitDrr() {
         // fair share is shares of admitted work.
         deficit_[t] -= std::max(1.0, executor_.EstimatedCost(job));
         progress = true;
-        admitted_any = true;
       }
       if (queue.empty()) deficit_[t] = 0.0;
     }
     if (progress) continue;
     // Progress guarantee: with an idle executor no completion will ever
     // re-trigger admission, so ending on a pass that only banked deficit
-    // (small quantum or sub-unit weights) would strand the queued work —
-    // and the serving loop behind it. Jump straight to the pass on which
-    // the first head becomes covered: every admissible tenant banks the
-    // same number of rounds, so the accounting is exactly the pass loop's.
-    if (!admitted_any && executor_.active_count() == 0 && admissible_head) {
+    // would strand the queued work — and the serving loop behind it. A
+    // sub-unit weight does that, and so does a negative deficit: a head
+    // re-tiered at activation is charged its re-priced cost, which can
+    // exceed the estimate the deficit was checked against. Jump straight
+    // to the pass on which the first head becomes covered: every
+    // admissible tenant banks the same number of rounds, so the
+    // accounting is exactly the pass loop's. An executor left idle by
+    // heads that failed to open counts as idle too.
+    if (executor_.active_count() == 0 && admissible_head) {
       double passes = -1.0;
       for (std::size_t t = 0; t < queues_.size(); ++t) {
         const std::deque<std::size_t>& queue = queues_[t];
@@ -341,26 +333,42 @@ Status Server::AdmitDrr() {
 }
 
 Status Server::TryAdmit() {
-  return state_ == OverloadState::kNormal ? AdmitFifo() : AdmitDrr();
+  UpdateController();
+  NAVPATH_RETURN_NOT_OK(state_ == OverloadState::kNormal ? AdmitFifo()
+                                                         : AdmitDrr());
+  // With an empty active set every queue head is admissible, so a drained
+  // executor can only be waiting on the next arrival.
+  NAVPATH_CHECK(executor_.active_count() > 0 || queued_total_ == 0);
+  return Status::OK();
+}
+
+SimTime Server::NextArrival() const {
+  return next_submit_ < subs_.size() ? subs_[next_submit_].arrival : kNone;
+}
+
+Status Server::Arrive() {
+  NAVPATH_RETURN_NOT_OK(ProcessArrivals());
+  return TryAdmit();
+}
+
+Status Server::Finished(std::size_t job) {
+  OnJobFinished(job);
+  return TryAdmit();
 }
 
 void Server::UpdateController() {
   const bool buffer_hot =
       static_cast<double>(executor_.footprint_used()) >=
       kBufferHotFraction * static_cast<double>(executor_.footprint_budget());
-  const bool slo_breach =
-      options_.turnaround_slo > 0 &&
-      turnaround_ewma_ > static_cast<double>(options_.turnaround_slo);
 
   // Escalation is immediate: queue depth alone forces shed; degrade also
-  // triggers on a breached turnaround SLO or a hot buffer pool once a
-  // backlog exists (either signal with an empty queue is just the active
-  // set working, not overload).
+  // triggers on a hot buffer pool once a backlog of half the degrade
+  // depth exists (a hot pool with an empty queue is just the active set
+  // working, not overload).
   OverloadState target = state_;
   if (queued_total_ >= options_.shed_queue_depth) {
     target = OverloadState::kShed;
   } else if (queued_total_ >= options_.degrade_queue_depth ||
-             (slo_breach && queued_total_ >= 2) ||
              (buffer_hot &&
               queued_total_ * 2 >= options_.degrade_queue_depth)) {
     target = OverloadState::kDegrade;
@@ -380,11 +388,7 @@ void Server::UpdateController() {
   // degrade, degrade to normal, each requiring recover_hold consecutive
   // healthy evaluations. Any pressure resets the streak.
   if (state_ == OverloadState::kNormal) return;
-  const bool healthy =
-      queued_total_ <= options_.recover_below && !buffer_hot &&
-      (options_.turnaround_slo == 0 ||
-       turnaround_ewma_ < kSloRecoverFraction *
-                              static_cast<double>(options_.turnaround_slo));
+  const bool healthy = queued_total_ <= options_.recover_below && !buffer_hot;
   if (!healthy) {
     healthy_streak_ = 0;
     return;
@@ -402,15 +406,6 @@ void Server::OnJobFinished(std::size_t job) {
   const TenantSpec& spec = options_.tenants[subs_[sub].tenant];
   const WorkloadQueryResult& result = executor_.JobResult(job);
   const SimTime turnaround = result.finished_at - result.arrival;
-  // First completion seeds the EWMA; blending from zero would read as a
-  // phantom period of instant service.
-  if (serve_.Counter("serve.completed") == 0) {
-    turnaround_ewma_ = static_cast<double>(turnaround);
-  } else {
-    turnaround_ewma_ =
-        options_.ewma_alpha * static_cast<double>(turnaround) +
-        (1.0 - options_.ewma_alpha) * turnaround_ewma_;
-  }
   ++serve_.Counter("serve.completed");
   ++serve_.Counter("serve.tenant." + spec.name + ".completed");
   serve_.GetHistogram("serve.turnaround")
@@ -440,45 +435,11 @@ Result<ServeResult> Server::Run() {
   next_submit_ = 0;
   next_fifo_ = 0;
   state_ = OverloadState::kNormal;
-  turnaround_ewma_ = 0.0;
   healthy_streak_ = 0;
   serve_.Reset();
 
-  NAVPATH_RETURN_NOT_OK(executor_.BeginStepping(subs_.size()));
-  NAVPATH_RETURN_NOT_OK(ProcessArrivals());
-  UpdateController();
-  NAVPATH_RETURN_NOT_OK(TryAdmit());
-
-  while (executor_.active_count() > 0 || next_submit_ < subs_.size() ||
-         queued_total_ > 0) {
-    if (executor_.active_count() == 0) {
-      // With an empty active set every queue head is admissible, so a
-      // drained system can only be waiting on the next arrival.
-      NAVPATH_CHECK(queued_total_ == 0 && next_submit_ < subs_.size());
-      db_->clock()->WaitUntil(subs_[next_submit_].arrival);
-      NAVPATH_RETURN_NOT_OK(ProcessArrivals());
-      UpdateController();
-      NAVPATH_RETURN_NOT_OK(TryAdmit());
-      continue;
-    }
-    // Open-system arrivals join mid-serve, exactly on Run()'s gate.
-    if (next_submit_ < subs_.size() &&
-        subs_[next_submit_].arrival != 0 &&
-        subs_[next_submit_].arrival <= db_->clock()->now()) {
-      NAVPATH_RETURN_NOT_OK(ProcessArrivals());
-      UpdateController();
-      NAVPATH_RETURN_NOT_OK(TryAdmit());
-    }
-    NAVPATH_ASSIGN_OR_RETURN(const std::size_t done, executor_.StepOnce());
-    if (done != WorkloadExecutor::kNoJob) {
-      OnJobFinished(done);
-      UpdateController();
-      NAVPATH_RETURN_NOT_OK(TryAdmit());
-    }
-  }
-
   NAVPATH_ASSIGN_OR_RETURN(WorkloadResult workload,
-                           executor_.EndStepping());
+                           executor_.Run(this, subs_.size()));
 
   ServeResult result;
   result.outcomes.resize(subs_.size());
@@ -507,7 +468,6 @@ Result<ServeResult> Server::Run() {
   result.admission_order = std::move(admission_order_);
   result.shed = std::move(shed_);
   result.workload = std::move(workload);
-  serve_.Gauge("serve.turnaround_ewma") = turnaround_ewma_;
   result.metrics = serve_.Snapshot();
   result.final_state = state_;
   subs_.clear();

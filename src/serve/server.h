@@ -18,12 +18,13 @@
 //   recover — hysteresis back to full-fidelity plans and FIFO admission
 //             once pressure drains.
 //
-// While the controller reads "normal", admission is the executor's own
-// global FIFO with head-of-line blocking, driven through the stepping
-// interface — the pull loop is byte-for-byte Run()'s, so an underloaded
-// serving layer produces the exact schedule of a serving-layer-off run.
-// The fairness machinery (DRR) engages only under overload, where the
-// FIFO guarantee is already forfeit.
+// The server is an Admission plugged into WorkloadExecutor's one pull
+// loop: arrivals and completions call into it, and it decides which
+// queued job to activate. While the controller reads "normal", admission
+// is the executor's own global FIFO with head-of-line blocking, so an
+// underloaded serving layer produces the exact schedule of a
+// serving-layer-off run. The fairness machinery (DRR) engages only under
+// overload, where the FIFO guarantee is already forfeit.
 #ifndef NAVPATH_SERVE_SERVER_H_
 #define NAVPATH_SERVE_SERVER_H_
 
@@ -58,9 +59,9 @@ struct TenantSpec {
 };
 
 /// Overload controller state. Transitions are driven by live signals
-/// (aggregate queue depth, turnaround EWMA, buffer-pool pressure) and are
-/// strictly ordered: normal -> degrade -> shed, with hysteresis on the
-/// way back down.
+/// (aggregate queue depth, buffer-pool pressure) and are strictly
+/// ordered: normal -> degrade -> shed, with hysteresis on the way back
+/// down.
 enum class OverloadState { kNormal, kDegrade, kShed };
 
 const char* OverloadStateName(OverloadState state);
@@ -78,28 +79,18 @@ struct ServeOptions {
   /// Aggregate queued queries at or above this enter the degrade state.
   std::size_t degrade_queue_depth = 8;
   /// Aggregate queued queries at or above this enter the shed state.
-  /// Must be >= degrade_queue_depth.
+  /// Must be >= degrade_queue_depth. In the shed state a tenant whose
+  /// queue holds half its capacity (rounded up) or more also sheds new
+  /// arrivals early, preserving headroom for tenants that are not
+  /// flooding the system.
   std::size_t shed_queue_depth = 16;
-  /// Turnaround SLO (simulated ns; 0 disables the signal): an EWMA of
-  /// completed turnarounds above this counts as pressure.
-  SimTime turnaround_slo = 0;
-  /// EWMA smoothing factor in (0, 1].
-  double ewma_alpha = 0.25;
-  /// In the shed state, a tenant whose queue occupancy is at or above
-  /// this fraction of its capacity sheds new arrivals early, preserving
-  /// headroom for tenants that are not flooding the system.
-  double shed_occupancy = 0.5;
   /// Recovery hysteresis: the controller steps DOWN one state only after
   /// `recover_hold` consecutive healthy evaluations (aggregate queue at
-  /// or below `recover_below`, EWMA under 80% of the SLO, buffer
-  /// footprint under 90% of budget). Any unhealthy evaluation resets the
-  /// streak — one good completion never flips the system back.
+  /// or below `recover_below`, buffer footprint under 90% of budget). Any
+  /// unhealthy evaluation resets the streak — one good completion never
+  /// flips the system back.
   std::size_t recover_below = 1;
   std::size_t recover_hold = 4;
-  /// DRR refill per round, in estimated-cost units (0 = auto: the mean
-  /// estimated cost of the tenants' queue heads at the start of each
-  /// admission pass).
-  double drr_quantum = 0.0;
 };
 
 /// Entry validation for the serving configuration (tenant set, queue
@@ -159,7 +150,7 @@ struct ServeResult {
 /// The admission front-end. One Server serves one submission batch: queue
 /// the workload with Submit(), then Run() plays it against the simulated
 /// clock (arrivals, admissions, overload responses) to completion.
-class Server {
+class Server : private Admission {
  public:
   /// `db` and `doc` must outlive the server.
   Server(Database* db, const ImportedDocument& doc,
@@ -205,14 +196,23 @@ class Server {
     std::vector<WriteOp> write_ops;
   };
 
+  // Admission hooks, called by the executor's pull loop. Arrive takes in
+  // the due arrivals and Finished books a completion; both then
+  // re-evaluate the controller and run an admission pass.
+  SimTime NextArrival() const override;
+  Status Arrive() override;
+  Status Finished(std::size_t job) override;
+
   /// Moves every submission whose arrival is due into its tenant queue
   /// (executor Add + queue push), shedding on overflow and on the shed
   /// state's early-occupancy rule.
   Status ProcessArrivals();
 
-  /// Admission pass: global FIFO with head-of-line blocking in the normal
-  /// state (byte-identical to Run()'s admission), deficit round-robin over
-  /// the tenant queues under overload.
+  /// Admission pass: updates the controller, then admits by global FIFO
+  /// with head-of-line blocking in the normal state (byte-identical to
+  /// the executor's own admission) or by deficit round-robin over the
+  /// tenant queues under overload. Afterwards a drained executor has
+  /// nothing queued.
   Status TryAdmit();
   Status AdmitFifo();
   Status AdmitDrr();
@@ -245,7 +245,6 @@ class Server {
   std::size_t next_fifo_ = 0;           // FIFO cursor over executor jobs
 
   OverloadState state_ = OverloadState::kNormal;
-  double turnaround_ewma_ = 0.0;        // simulated ns
   std::size_t healthy_streak_ = 0;
 
   std::vector<std::size_t> admission_order_;

@@ -349,16 +349,19 @@ Result<ImportedDocument> Materializer::Run() {
 
   // Determine each build page's physical position. By default this is the
   // creation order; with fragmentation enabled, pages are displaced within
-  // a window to model split-based imports and aged databases.
+  // a window to model split-based imports and aged databases. The window
+  // and the seed are fixed, so a fragmentation level names one layout.
+  constexpr std::size_t kFragmentationWindow = 64;
+  constexpr std::uint64_t kFragmentationSeed = 1;
   std::vector<std::uint32_t> position(pages_.size());
   for (std::uint32_t i = 0; i < position.size(); ++i) position[i] = i;
   if (options_.fragmentation > 0.0 && pages_.size() > 1) {
-    Random rng(options_.fragmentation_seed);
+    Random rng(kFragmentationSeed);
     const std::uint32_t n = static_cast<std::uint32_t>(pages_.size());
     for (std::uint32_t i = 0; i < n; ++i) {
       if (!rng.NextBool(options_.fragmentation)) continue;
       const std::uint32_t span = static_cast<std::uint32_t>(std::min<
-          std::size_t>(options_.fragmentation_window, n - 1 - i));
+          std::size_t>(kFragmentationWindow, n - 1 - i));
       if (span == 0) continue;
       const std::uint32_t j =
           i + 1 + static_cast<std::uint32_t>(rng.NextBounded(span));
@@ -381,9 +384,6 @@ Result<ImportedDocument> Materializer::Run() {
     NAVPATH_CHECK(disk_->AllocatePage() == base_page_ + i);
   }
   for (std::uint32_t i = 0; i < pages_.size(); ++i) {
-    if (options_.validate_pages) {
-      NAVPATH_RETURN_NOT_OK(View(i).Validate());
-    }
     NAVPATH_RETURN_NOT_OK(disk_->WriteSync(base_page_ + position[i],
                                            pages_[i].bytes.get()));
   }

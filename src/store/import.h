@@ -47,12 +47,10 @@ struct ImportedDocument {
 struct ImportOptions {
   /// Character content is truncated to this many stored bytes per node.
   std::size_t text_cap = 2048;
-  /// Run TreePage::Validate on every materialized page.
-  bool validate_pages = false;
 
   /// Physical fragmentation of the layout: the fraction of pages that are
   /// displaced from their creation-order position (swapped with a page up
-  /// to `fragmentation_window` slots ahead, deterministically).
+  /// to 64 slots ahead, deterministically).
   ///
   /// Our materializer writes pages in depth-first creation order, which
   /// is an unrealistically perfect layout: real imports (Natix splits
@@ -60,8 +58,6 @@ struct ImportOptions {
   /// scatter logically adjacent pages (paper Sec. 1). Benchmarks run with
   /// a fragmented layout; 0.0 keeps the pristine order.
   double fragmentation = 0.0;
-  std::size_t fragmentation_window = 64;
-  std::uint64_t fragmentation_seed = 1;
 
   /// Build the path-summary synopsis at import (Database::Import). The
   /// summary gives the planner exact cardinalities, empty-path proofs and

@@ -47,12 +47,25 @@ ServeOptions TwoTenantOptions(const DocumentStats* stats) {
 }
 
 TEST(ServeTest, UnderloadIsByteIdenticalToServingLayerOff) {
-  auto fixture = XMarkFixture::Create(0.005);
-  ASSERT_TRUE(fixture.ok()) << fixture.status().ToString();
-  XMarkFixture* fx = fixture->get();
+  // Each side runs on its own fixture: the write transaction commits, so
+  // a shared one would hand the second run a different document version.
+  auto off_fixture = XMarkFixture::Create(0.005);
+  ASSERT_TRUE(off_fixture.ok()) << off_fixture.status().ToString();
+  auto serve_fixture = XMarkFixture::Create(0.005);
+  ASSERT_TRUE(serve_fixture.ok()) << serve_fixture.status().ToString();
+  XMarkFixture* ofx = off_fixture->get();
+  XMarkFixture* sfx = serve_fixture->get();
+  TxnManager off_txn(ofx->db(), ofx->mutable_doc());
+  TxnManager serve_txn(sfx->db(), sfx->mutable_doc());
+  const TagId bid = ofx->db()->tags()->Intern("xbid");
+  ASSERT_EQ(sfx->db()->tags()->Intern("xbid"), bid);
+  const std::vector<WriteOp> write = {
+      WriteOp{ofx->doc().root, kInvalidNodeID, bid, "w"}};
+  ASSERT_EQ(sfx->doc().root, ofx->doc().root);
 
   // Arrivals far apart relative to service time: the controller never
-  // leaves the normal state and admission is the executor's own FIFO.
+  // leaves the normal state and admission is the executor's own FIFO. A
+  // null query is the write transaction.
   struct Arrival {
     std::size_t tenant;
     const char* query;
@@ -62,6 +75,7 @@ TEST(ServeTest, UnderloadIsByteIdenticalToServingLayerOff) {
       {0, kServeQueries[0], 0},
       {1, kServeQueries[1], 0},
       {0, kServeQueries[2], 400 * kSimMillisecond},
+      {1, nullptr, 400 * kSimMillisecond},
       {1, kServeQueries[0], 900 * kSimMillisecond},
       {0, kServeQueries[1], 1400 * kSimMillisecond},
   };
@@ -70,12 +84,17 @@ TEST(ServeTest, UnderloadIsByteIdenticalToServingLayerOff) {
   // Serving-layer-off reference: the plain executor with the same
   // arrivals and deadlines, pull schedule recorded.
   std::vector<std::size_t> off_schedule;
-  WorkloadOptions off = TwoTenantOptions(&fx->stats()).workload;
+  WorkloadOptions off = TwoTenantOptions(&ofx->stats()).workload;
+  off.txn = &off_txn;
   off.on_pull = [&](std::size_t job, std::size_t) {
     off_schedule.push_back(job);
   };
-  WorkloadExecutor executor(fx->db(), fx->doc(), off);
+  WorkloadExecutor executor(ofx->db(), ofx->doc(), off);
   for (const Arrival& a : arrivals) {
+    if (a.query == nullptr) {
+      ASSERT_TRUE(executor.AddWrite(write, a.at).ok());
+      continue;
+    }
     ASSERT_TRUE(executor
                     .Add(a.query, PaperPlan(PlanKind::kXSchedule), a.at,
                          a.at + deadline_slack)
@@ -85,12 +104,17 @@ TEST(ServeTest, UnderloadIsByteIdenticalToServingLayerOff) {
   ASSERT_TRUE(off_run.ok()) << off_run.status().ToString();
 
   std::vector<std::size_t> serve_schedule;
-  ServeOptions options = TwoTenantOptions(&fx->stats());
+  ServeOptions options = TwoTenantOptions(&sfx->stats());
+  options.workload.txn = &serve_txn;
   options.workload.on_pull = [&](std::size_t job, std::size_t) {
     serve_schedule.push_back(job);
   };
-  Server server(fx->db(), fx->doc(), options);
+  Server server(sfx->db(), sfx->doc(), options);
   for (const Arrival& a : arrivals) {
+    if (a.query == nullptr) {
+      ASSERT_TRUE(server.SubmitWrite(a.tenant, write, a.at).ok());
+      continue;
+    }
     ASSERT_TRUE(server
                     .Submit(a.tenant, a.query,
                             PaperPlan(PlanKind::kXSchedule), a.at,
@@ -120,7 +144,13 @@ TEST(ServeTest, UnderloadIsByteIdenticalToServingLayerOff) {
     EXPECT_FALSE(served->outcomes[i].degraded);
     EXPECT_TRUE(served->outcomes[i].status.ok());
     EXPECT_EQ(served->outcomes[i].count, off_run->queries[i].count);
+    EXPECT_EQ(served->outcomes[i].commit_seq, off_run->queries[i].commit_seq);
   }
+  // The writer committed on both sides.
+  EXPECT_TRUE(served->outcomes[3].is_write);
+  EXPECT_GT(served->outcomes[3].commit_seq, 0u);
+  EXPECT_EQ(serve_txn.commits(), 1u);
+  EXPECT_EQ(off_txn.commits(), 1u);
 }
 
 TEST(ServeTest, OverloadShedsDegradesAndRecovers) {
@@ -214,14 +244,13 @@ TEST(ServeTest, OverloadBurstWithSubUnitShareStillAdmits) {
   // Regression: a simultaneous burst that trips the overload controller
   // before anything is admitted used to abort the serving loop when the
   // first DRR pass banked deficit without covering any head — a tenant
-  // weight under 1 (validation only requires > 0), or an explicit
-  // drr_quantum below every head's estimated cost, with the executor
-  // still idle. Admission must make progress instead.
+  // weight under 1 (validation only requires > 0) grants less per pass
+  // than the mean head cost, with the executor still idle. Admission must make progress instead.
   auto fixture = XMarkFixture::Create(0.005);
   ASSERT_TRUE(fixture.ok()) << fixture.status().ToString();
   XMarkFixture* fx = fixture->get();
 
-  auto run_burst = [&](double weight, double drr_quantum) {
+  auto run_burst = [&](double weight) {
     ServeOptions options;
     options.tenants.resize(1);
     options.tenants[0].name = "only";
@@ -229,7 +258,6 @@ TEST(ServeTest, OverloadBurstWithSubUnitShareStillAdmits) {
     options.tenants[0].weight = weight;
     options.workload.policy = WorkloadPolicy::kHybrid;
     options.workload.stats = &fx->stats();
-    options.drr_quantum = drr_quantum;
     Server server(fx->db(), fx->doc(), options);
     // Ten arrivals in one batch: past degrade_queue_depth (8), inside
     // the queue bound (16), so everything must eventually run.
@@ -248,8 +276,7 @@ TEST(ServeTest, OverloadBurstWithSubUnitShareStillAdmits) {
       EXPECT_TRUE(out.status.ok()) << out.status.ToString();
     }
   };
-  run_burst(0.5, 0.0);  // sub-unit weight, auto quantum
-  run_burst(1.0, 0.5);  // explicit quantum below every head cost
+  run_burst(0.5);
 }
 
 TEST(ServeTest, DeterministicAdmissionShedAndPriorityJumps) {
@@ -330,10 +357,6 @@ TEST(ServeTest, ValidationRejectsMalformedConfiguration) {
   ServeOptions bad_weight = base;
   bad_weight.tenants[0].weight = -1.0;
   expect_invalid(bad_weight, "negative weight");
-
-  ServeOptions bad_alpha = base;
-  bad_alpha.ewma_alpha = 0.0;
-  expect_invalid(bad_alpha, "zero ewma_alpha");
 
   ServeOptions inverted = base;
   inverted.shed_queue_depth = 2;

@@ -33,7 +33,7 @@ TEST(SharedScanTest, MatchesOraclePerPath) {
       ParseQuery("count(//t0)+count(//t1/t2)+count(//t2/..)", db.tags());
   ASSERT_TRUE(query.ok());
 
-  auto result = ExecuteQuerySharedScan(&db, *doc, *query);
+  auto result = ExecuteQuerySharedScan(&db, *doc, *query, {});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_EQ(result->path_counts.size(), 3u);
   std::uint64_t expected_total = 0;
@@ -57,7 +57,7 @@ TEST(SharedScanTest, SingleScanIoForManyPaths) {
   auto query = ParseQuery("count(//t0)+count(//t1)+count(//t2)+count(//t3)",
                           db.tags());
   ASSERT_TRUE(query.ok());
-  auto result = ExecuteQuerySharedScan(&db, *doc, *query);
+  auto result = ExecuteQuerySharedScan(&db, *doc, *query, {});
   ASSERT_TRUE(result.ok());
   // Exactly one read per page, all but the first sequential.
   EXPECT_EQ(result->combined.metrics.disk_reads, doc->page_count());
@@ -76,7 +76,7 @@ TEST(SharedScanTest, NodeModeReturnsDocumentOrder) {
 
   auto query = ParseQuery("//t1", db.tags());
   ASSERT_TRUE(query.ok());
-  auto result = ExecuteQuerySharedScan(&db, *doc, *query);
+  auto result = ExecuteQuerySharedScan(&db, *doc, *query, {});
   ASSERT_TRUE(result.ok());
 
   const auto oracle = OracleEvaluate(tree, query->paths[0], tree.root());
@@ -112,7 +112,7 @@ TEST(SharedScanTest, AgreesWithSeparateXScanPlans) {
   auto separate = ExecuteQuery(&db, *doc, *query, exec);
   ASSERT_TRUE(separate.ok());
 
-  auto shared = ExecuteQuerySharedScan(&db, *doc, *query);
+  auto shared = ExecuteQuerySharedScan(&db, *doc, *query, {});
   ASSERT_TRUE(shared.ok());
   EXPECT_EQ(shared->combined.count, separate->count);
   EXPECT_LT(shared->combined.metrics.disk_reads,
@@ -129,14 +129,14 @@ TEST(SharedScanTest, RejectsRelativePaths) {
   ASSERT_TRUE(doc.ok());
   auto query = ParseQuery("t0/t1", db.tags());
   ASSERT_TRUE(query.ok());
-  EXPECT_FALSE(ExecuteQuerySharedScan(&db, *doc, *query).ok());
+  EXPECT_FALSE(ExecuteQuerySharedScan(&db, *doc, *query, {}).ok());
 }
 
 TEST(SharedScanTest, RejectsSBudget) {
   // Fallback mode is incompatible with shared scanning (one lane would
   // navigate across borders mid-scan while the others still speculate),
-  // so a nonzero s_budget must be rejected up front, not silently
-  // ignored.
+  // so the options carry no S budget at all: the scan always runs with
+  // unbounded speculative structures.
   Database db(SmallDb());
   RandomTreeOptions tree_options;
   tree_options.node_count = 50;
@@ -147,13 +147,6 @@ TEST(SharedScanTest, RejectsSBudget) {
   auto query = ParseQuery("count(//t0)+count(//t1)", db.tags());
   ASSERT_TRUE(query.ok());
 
-  SharedScanOptions budgeted;
-  budgeted.s_budget = 128;
-  EXPECT_TRUE(ExecuteQuerySharedScan(&db, *doc, *query, budgeted)
-                  .status()
-                  .IsInvalidArgument());
-
-  // The options overload with the default (unlimited) budget still runs.
   SharedScanOptions unlimited;
   EXPECT_TRUE(ExecuteQuerySharedScan(&db, *doc, *query, unlimited).ok());
 }

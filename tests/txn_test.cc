@@ -668,55 +668,69 @@ TEST(TxnTest, DeleteWithoutMatchingChildFailsThatJobAlone) {
 TEST(TxnTest, RetierNeverTouchesAWriterEvenMidRetry) {
   TxnFixture f("<r><a/></r>");
   const TagId tag = f.db.tags()->Intern("t");
+  PlanOptions degraded;
+  degraded.kind = PlanKind::kSimple;
 
+  // Activates both writers at once, then asks to re-tier one of them.
+  class BothWriters : public Admission {
+   public:
+    BothWriters(WorkloadExecutor* executor, const PlanOptions& degraded)
+        : executor_(executor), degraded_(degraded) {}
+    SimTime NextArrival() const override { return kNone; }
+    Status Arrive() override {
+      NAVPATH_RETURN_NOT_OK(executor_->ActivateJob(0));
+      NAVPATH_RETURN_NOT_OK(executor_->ActivateJob(1));
+      retier = executor_->RetierJob(0, degraded_);
+      return Status::OK();
+    }
+    Status Finished(std::size_t /*job*/) override { return Status::OK(); }
+    Status retier;
+
+   private:
+    WorkloadExecutor* executor_;
+    PlanOptions degraded_;
+  };
+
+  // Before every pull, look for a writer that lost the first-committer
+  // race; while it is backing off for a retry it is STILL a write job to
+  // overload control, and the rejection must be the write-specific one
+  // (not "job already started", which would imply an idle job that could
+  // be re-planned).
+  WorkloadExecutor* running = nullptr;
+  bool saw_mid_retry_rejection = false;
   WorkloadOptions options;
   options.txn = f.mgr.get();
   options.max_writers = 2;
-  WorkloadExecutor executor(&f.db, f.doc, options);
-  ASSERT_TRUE(executor.AddWrite({WriteOp{f.doc.root, kInvalidNodeID, tag}}, 0)
-                  .ok());
-  ASSERT_TRUE(executor.AddWrite({WriteOp{f.doc.root, kInvalidNodeID, tag}}, 0)
-                  .ok());
-
-  ASSERT_TRUE(executor.BeginStepping(2).ok());
-  ASSERT_TRUE(executor.ActivateJob(0).ok());
-  ASSERT_TRUE(executor.ActivateJob(1).ok());
-
-  // An activated (in-flight) writer can never be re-tiered.
-  PlanOptions degraded;
-  degraded.kind = PlanKind::kSimple;
-  Status retier = executor.RetierJob(0, degraded);
-  ASSERT_TRUE(retier.IsInvalidArgument());
-  EXPECT_NE(retier.ToString().find("no plan tier"), std::string::npos)
-      << retier.ToString();
-
-  // Step until one writer loses the first-committer race; while it is
-  // backing off for a retry it is STILL a write job to overload control,
-  // and the rejection must be the write-specific one (not "job already
-  // started", which would imply an idle job that could be re-planned).
-  bool saw_mid_retry_rejection = false;
-  for (int step = 0; step < 64; ++step) {
-    auto done = executor.StepOnce();
-    ASSERT_TRUE(done.ok()) << done.status().ToString();
+  options.on_pull = [&](std::size_t, std::size_t) {
     for (std::size_t j = 0; j < 2; ++j) {
-      const WorkloadQueryResult& r = executor.JobResult(j);
+      const WorkloadQueryResult& r = running->JobResult(j);
       if (r.aborts > 0 && r.commit_seq == 0 && r.status.ok()) {
-        Status mid = executor.RetierJob(j, degraded);
+        Status mid = running->RetierJob(j, degraded);
         ASSERT_TRUE(mid.IsInvalidArgument());
         EXPECT_NE(mid.ToString().find("no plan tier"), std::string::npos)
             << mid.ToString();
         saw_mid_retry_rejection = true;
       }
     }
-    if (executor.JobResult(0).commit_seq > 0 &&
-        executor.JobResult(1).commit_seq > 0) {
-      break;
-    }
-  }
+  };
+  WorkloadExecutor executor(&f.db, f.doc, options);
+  running = &executor;
+  ASSERT_TRUE(executor.AddWrite({WriteOp{f.doc.root, kInvalidNodeID, tag}}, 0)
+                  .ok());
+  ASSERT_TRUE(executor.AddWrite({WriteOp{f.doc.root, kInvalidNodeID, tag}}, 0)
+                  .ok());
+
+  BothWriters admission(&executor, degraded);
+  auto result = executor.Run(&admission, 2);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+  // An activated (in-flight) writer can never be re-tiered.
+  ASSERT_TRUE(admission.retier.IsInvalidArgument());
+  EXPECT_NE(admission.retier.ToString().find("no plan tier"),
+            std::string::npos)
+      << admission.retier.ToString();
   EXPECT_TRUE(saw_mid_retry_rejection);
 
-  auto result = executor.EndStepping();
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
   for (const WorkloadQueryResult& q : result->queries) {
     EXPECT_TRUE(q.status.ok()) << q.status.ToString();
     EXPECT_FALSE(q.degraded);

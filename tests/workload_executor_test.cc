@@ -313,12 +313,41 @@ struct RecordedRun {
   WorkloadResult result;
 };
 
+/// A test-side FIFO over the public admission primitives: activates jobs
+/// in Add() order through CanAdmit and ActivateJob while the head has
+/// arrived, at every hook the pull loop calls.
+class FifoOverPrimitives : public Admission {
+ public:
+  FifoOverPrimitives(WorkloadExecutor* executor, SimClock* clock)
+      : executor_(executor), clock_(clock) {}
+
+  SimTime NextArrival() const override {
+    return next_ < executor_->size() ? executor_->JobArrival(next_) : kNone;
+  }
+  Status Arrive() override { return Admit(); }
+  Status Finished(std::size_t /*job*/) override { return Admit(); }
+
+ private:
+  Status Admit() {
+    while (next_ < executor_->size() &&
+           executor_->JobArrival(next_) <= clock_->now() &&
+           executor_->CanAdmit(next_)) {
+      NAVPATH_RETURN_NOT_OK(executor_->ActivateJob(next_++));
+    }
+    return Status::OK();
+  }
+
+  WorkloadExecutor* executor_;
+  SimClock* clock_;
+  std::size_t next_ = 0;
+};
+
 /// An open mixed workload on a fresh fixture: reads and two writers
 /// (both inserting under the document root, so they conflict) arrive
 /// over time, at most four jobs and two writers active at once.
-/// `stepping` drives it through BeginStepping + CanAdmit/ActivateJob/
-/// StepOnce with FIFO admission in Add() order instead of Run().
-Result<RecordedRun> RunOpenMixed(WorkloadPolicy policy, bool stepping) {
+/// `external` drives it through Run(Admission*, ...) with a test-side
+/// FIFO over CanAdmit/ActivateJob instead of Run()'s own admission.
+Result<RecordedRun> RunOpenMixed(WorkloadPolicy policy, bool external) {
   NAVPATH_ASSIGN_OR_RETURN(std::unique_ptr<XMarkFixture> fixture,
                            XMarkFixture::Create(0.005));
   TxnManager txn(fixture->db(), fixture->mutable_doc());
@@ -355,50 +384,28 @@ Result<RecordedRun> RunOpenMixed(WorkloadPolicy policy, bool stepping) {
                                          arrival));
     }
   }
-  if (!stepping) {
+  if (!external) {
     NAVPATH_ASSIGN_OR_RETURN(run.result, executor.Run());
     return run;
   }
-
-  const std::size_t n = executor.size();
-  SimClock* clock = fixture->db()->clock();
-  NAVPATH_RETURN_NOT_OK(executor.BeginStepping(n));
-  std::size_t next = 0;
-  auto admit = [&]() -> Status {
-    while (next < n && executor.JobArrival(next) <= clock->now() &&
-           executor.CanAdmit(next)) {
-      NAVPATH_RETURN_NOT_OK(executor.ActivateJob(next++));
-    }
-    return Status::OK();
-  };
-  NAVPATH_RETURN_NOT_OK(admit());
-  // Admitting after every step tries the gate at Run()'s admission points
-  // and more; without sharing, only a completion or an arrival opens it.
-  while (executor.active_count() > 0 || next < n) {
-    if (executor.active_count() == 0) {
-      clock->WaitUntil(executor.JobArrival(next));
-    } else {
-      NAVPATH_RETURN_NOT_OK(executor.StepOnce().status());
-    }
-    NAVPATH_RETURN_NOT_OK(admit());
-  }
-  NAVPATH_ASSIGN_OR_RETURN(run.result, executor.EndStepping());
+  FifoOverPrimitives fifo(&executor, fixture->db()->clock());
+  NAVPATH_ASSIGN_OR_RETURN(run.result, executor.Run(&fifo, executor.size()));
   return run;
 }
 
 TEST(WorkloadExecutorTest, RunIsAFifoDriverOverTheSteppingPrimitives) {
   for (const WorkloadPolicy policy :
        {WorkloadPolicy::kRoundRobin, WorkloadPolicy::kHybrid}) {
-    auto ran = RunOpenMixed(policy, /*stepping=*/false);
+    auto ran = RunOpenMixed(policy, /*external=*/false);
     ASSERT_TRUE(ran.ok()) << ran.status().ToString();
-    auto stepped = RunOpenMixed(policy, /*stepping=*/true);
-    ASSERT_TRUE(stepped.ok()) << stepped.status().ToString();
+    auto driven = RunOpenMixed(policy, /*external=*/true);
+    ASSERT_TRUE(driven.ok()) << driven.status().ToString();
     const char* name = WorkloadPolicyName(policy);
 
-    EXPECT_EQ(ran->schedule, stepped->schedule) << name;
-    EXPECT_EQ(ran->result.total_time, stepped->result.total_time) << name;
+    EXPECT_EQ(ran->schedule, driven->schedule) << name;
+    EXPECT_EQ(ran->result.total_time, driven->result.total_time) << name;
     const auto& a = ran->result.queries;
-    const auto& b = stepped->result.queries;
+    const auto& b = driven->result.queries;
     ASSERT_EQ(a.size(), b.size()) << name;
     bool queued = false;
     std::uint64_t aborts = 0;
@@ -417,11 +424,47 @@ TEST(WorkloadExecutorTest, RunIsAFifoDriverOverTheSteppingPrimitives) {
       queued |= a[i].admitted_at > a[i].arrival;
       aborts += a[i].aborts;
     }
-    // The workload exercises what the two drivers must agree on: jobs
+    // The workload exercises what the two admissions must agree on: jobs
     // waited at the gate, and the writers raced.
     EXPECT_TRUE(queued) << name;
     EXPECT_GT(aborts, 0u) << name;
   }
+}
+
+TEST(WorkloadExecutorTest, AdmissionPrimitivesOutsideRunAreRejected) {
+  auto fixture = XMarkFixture::Create(0.002);
+  ASSERT_TRUE(fixture.ok()) << fixture.status().ToString();
+  WorkloadExecutor executor((*fixture)->db(), (*fixture)->doc());
+  ASSERT_TRUE(
+      executor.Add(kQueries[0], PaperPlan(PlanKind::kXSchedule)).ok());
+
+  // Job 0 exists and has arrived, but no Run drives the pull loop.
+  EXPECT_TRUE(executor.ActivateJob(0).IsInvalidArgument());
+  EXPECT_TRUE(executor.RetierJob(0, PaperPlan(PlanKind::kSimple))
+                  .IsInvalidArgument());
+  EXPECT_EQ(executor.active_count(), 0u);
+  EXPECT_FALSE(executor.JobResult(0).degraded);
+
+  // The job is untouched and still runs normally.
+  auto result = executor.Run();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(result->queries[0].status.ok());
+  EXPECT_GT(result->queries[0].count, 0u);
+}
+
+TEST(WorkloadExecutorTest, ExternalAdmissionRejectsSharing) {
+  auto fixture = XMarkFixture::Create(0.002);
+  ASSERT_TRUE(fixture.ok()) << fixture.status().ToString();
+  WorkloadOptions options;
+  options.stats = &(*fixture)->stats();
+  options.enable_sharing = true;
+  WorkloadExecutor executor((*fixture)->db(), (*fixture)->doc(), options);
+  ASSERT_TRUE(
+      executor.Add(kQueries[0], PaperPlan(PlanKind::kXSchedule)).ok());
+  FifoOverPrimitives fifo(&executor, (*fixture)->db()->clock());
+  auto result = executor.Run(&fifo, executor.size());
+  EXPECT_TRUE(result.status().IsInvalidArgument())
+      << result.status().ToString();
 }
 
 TEST(WorkloadExecutorTest, OneQuerysCorruptionDoesNotFailItsNeighbors) {

@@ -3,37 +3,75 @@
 
     python3 tools/bench_json_diff.py COMMITTED REGENERATED
 
-Prints every top-level section that differs and, for the `runs` and
-`poisson` sections, every row that was removed, added or changed (rows
-keyed by n/mode/policy). Exits 1 when the files differ as JSON, 0 when
-they are equal. It only locates a difference: `cmp` stays the
-byte-identity gate.
+Prints every top-level section that differs and, for the sections made of
+rows, every row that was removed, added or changed:
+
+    runs           rows keyed by n/mode/policy
+    poisson.runs   rows keyed by policy
+    shared.points  rows keyed by n/overlap
+    serve.points   one row per load, one per (load, tenant)
+    shard.sweep    rows keyed by shards
+
+A changed scalar field of a section (e.g. serve's mean_service_seconds)
+is named too. Exits 1 when the files differ as JSON, 0 when they are
+equal. It only locates a difference: `cmp` stays the byte-identity gate.
 """
 import json
 import sys
 
-ROW_KEYS = ("n", "mode", "policy")
+
+def serve_rows(section):
+    """Flattens serve points: the point's own fields keyed by load, and
+    each tenant's fields keyed by (load, tenant name)."""
+    rows = []
+    for point in section.get("points", []):
+        rows.append({k: v for k, v in point.items() if k != "tenants"})
+        for tenant in point.get("tenants", []):
+            rows.append(dict(tenant, load=point.get("load"),
+                             tenant=tenant.get("name")))
+    return rows
 
 
-def rows_by_key(rows):
-    return {tuple(row.get(k) for k in ROW_KEYS if k in row): row
-            for row in rows}
+# section -> (label, rows extractor, key fields, field holding the rows)
+ROW_SECTIONS = {
+    "runs": ("runs", lambda s: s, ("n", "mode", "policy"), None),
+    "poisson": ("poisson.runs", lambda s: s.get("runs", []),
+                ("n", "mode", "policy"), "runs"),
+    "shared": ("shared.points", lambda s: s.get("points", []),
+               ("n", "overlap"), "points"),
+    "serve": ("serve.points", serve_rows, ("load", "tenant"), "points"),
+    "shard": ("shard.sweep", lambda s: s.get("sweep", []), ("shards",),
+              "sweep"),
+}
 
 
-def diff_rows(section, old_rows, new_rows):
-    old, new = rows_by_key(old_rows), rows_by_key(new_rows)
+def rows_by_key(rows, keys):
+    return {tuple(row.get(k) for k in keys if k in row): row for row in rows}
+
+
+def diff_rows(label, old_rows, new_rows, keys):
+    old, new = rows_by_key(old_rows, keys), rows_by_key(new_rows, keys)
     for key, row in old.items():
         if key not in new:
-            print("  %s: removed row %s" % (section, key))
+            print("  %s: removed row %s" % (label, key))
         elif new[key] != row:
             changed = sorted(k for k in row.keys() | new[key].keys()
                              if row.get(k) != new[key].get(k))
             print("  %s: changed row %s: %s" % (
-                section, key, ", ".join("%s %s -> %s" % (
+                label, key, ", ".join("%s %s -> %s" % (
                     k, row.get(k), new[key].get(k)) for k in changed)))
     for key in new:
         if key not in old:
-            print("  %s: added row %s" % (section, key))
+            print("  %s: added row %s" % (label, key))
+
+
+def diff_fields(section, old, new, rows_field):
+    if not isinstance(old, dict) or not isinstance(new, dict):
+        return
+    for k in sorted(old.keys() | new.keys()):
+        if k != rows_field and old.get(k) != new.get(k):
+            print("  %s: changed field %s: %s -> %s" % (
+                section, k, old.get(k), new.get(k)))
 
 
 def main():
@@ -49,11 +87,15 @@ def main():
             continue
         differs = True
         print("section differs: %s" % section)
-        if section == "runs":
-            diff_rows("runs", old.get("runs", []), new.get("runs", []))
-        elif section == "poisson":
-            diff_rows("poisson.runs", old.get("poisson", {}).get("runs", []),
-                      new.get("poisson", {}).get("runs", []))
+        if section not in ROW_SECTIONS:
+            continue
+        label, rows, keys, rows_field = ROW_SECTIONS[section]
+        empty = [] if rows_field is None else {}
+        old_section = old.get(section, empty)
+        new_section = new.get(section, empty)
+        if rows_field is not None:
+            diff_fields(section, old_section, new_section, rows_field)
+        diff_rows(label, rows(old_section), rows(new_section), keys)
     sys.exit(1 if differs else 0)
 
 
