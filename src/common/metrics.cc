@@ -6,37 +6,10 @@ namespace navpath {
 
 Metrics Metrics::Delta(const Metrics& start) const {
   Metrics d;
-  d.disk_reads = disk_reads - start.disk_reads;
-  d.disk_seq_reads = disk_seq_reads - start.disk_seq_reads;
-  d.disk_writes = disk_writes - start.disk_writes;
-  d.disk_seek_pages = disk_seek_pages - start.disk_seek_pages;
-  d.async_requests = async_requests - start.async_requests;
-  d.async_reorderings = async_reorderings - start.async_reorderings;
-  d.requests_merged = requests_merged - start.requests_merged;
-  d.elevator_batches = elevator_batches - start.elevator_batches;
-  d.elevator_depth_sum = elevator_depth_sum - start.elevator_depth_sum;
+  for (const auto field : kMetricsCounters) {
+    d.*field = this->*field - start.*field;
+  }
   d.elevator_depth_max = elevator_depth_max;  // high-water mark, not a count
-  d.priority_jumps = priority_jumps - start.priority_jumps;
-  d.buffer_hits = buffer_hits - start.buffer_hits;
-  d.buffer_misses = buffer_misses - start.buffer_misses;
-  d.buffer_evictions = buffer_evictions - start.buffer_evictions;
-  d.swizzle_ops = swizzle_ops - start.swizzle_ops;
-  d.unswizzle_ops = unswizzle_ops - start.unswizzle_ops;
-  d.faults_injected = faults_injected - start.faults_injected;
-  d.fault_retries = fault_retries - start.fault_retries;
-  d.corruptions_detected = corruptions_detected - start.corruptions_detected;
-  d.fault_fallbacks = fault_fallbacks - start.fault_fallbacks;
-  d.clusters_visited = clusters_visited - start.clusters_visited;
-  d.intra_cluster_hops = intra_cluster_hops - start.intra_cluster_hops;
-  d.inter_cluster_hops = inter_cluster_hops - start.inter_cluster_hops;
-  d.node_tests = node_tests - start.node_tests;
-  d.instances_created = instances_created - start.instances_created;
-  d.instances_full = instances_full - start.instances_full;
-  d.speculative_instances =
-      speculative_instances - start.speculative_instances;
-  d.r_set_probes = r_set_probes - start.r_set_probes;
-  d.s_set_probes = s_set_probes - start.s_set_probes;
-  d.fallback_activations = fallback_activations - start.fallback_activations;
   return d;
 }
 

@@ -7,6 +7,7 @@
 #define NAVPATH_COMMON_METRICS_H_
 
 #include <cstdint>
+#include <iterator>
 #include <string>
 
 namespace navpath {
@@ -80,6 +81,34 @@ struct Metrics {
   /// Multi-line human-readable dump (for examples and debugging).
   std::string ToString() const;
 };
+
+/// Every additive counter of Metrics — all fields but the
+/// elevator_depth_max high-water mark — for code that combines two
+/// Metrics field by field (Delta, cross-shard sums).
+inline constexpr std::uint64_t Metrics::*kMetricsCounters[] = {
+    &Metrics::disk_reads,           &Metrics::disk_seq_reads,
+    &Metrics::disk_writes,          &Metrics::disk_seek_pages,
+    &Metrics::async_requests,       &Metrics::async_reorderings,
+    &Metrics::requests_merged,      &Metrics::elevator_batches,
+    &Metrics::elevator_depth_sum,   &Metrics::priority_jumps,
+    &Metrics::buffer_hits,          &Metrics::buffer_misses,
+    &Metrics::buffer_evictions,     &Metrics::swizzle_ops,
+    &Metrics::unswizzle_ops,        &Metrics::faults_injected,
+    &Metrics::fault_retries,        &Metrics::corruptions_detected,
+    &Metrics::fault_fallbacks,      &Metrics::clusters_visited,
+    &Metrics::intra_cluster_hops,   &Metrics::inter_cluster_hops,
+    &Metrics::node_tests,           &Metrics::instances_created,
+    &Metrics::instances_full,       &Metrics::speculative_instances,
+    &Metrics::r_set_probes,         &Metrics::s_set_probes,
+    &Metrics::fallback_activations,
+};
+
+// A field added to Metrics must join kMetricsCounters (or, if it is not
+// additive, be handled beside elevator_depth_max wherever Metrics are
+// combined).
+static_assert(sizeof(Metrics) ==
+                  (std::size(kMetricsCounters) + 1) * sizeof(std::uint64_t),
+              "Metrics field missing from kMetricsCounters");
 
 }  // namespace navpath
 

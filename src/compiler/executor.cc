@@ -153,18 +153,10 @@ Result<std::vector<LogicalNode>> EvaluateWithPredicates(
     NAVPATH_ASSIGN_OR_RETURN(
         PathPlan plan,
         BuildPlan(db, doc, segment, contexts, plan_options));
-    NAVPATH_RETURN_NOT_OK(plan.root()->Open());
     std::vector<LogicalNode> nodes;
-    KeySet seen;
-    PathInstance inst;
-    for (;;) {
-      NAVPATH_ASSIGN_OR_RETURN(const bool more, plan.root()->Pull(&inst));
-      if (!more) break;
-      db->clock()->ChargeCpu(db->costs().set_op);
-      if (!seen.insert(inst.right.node.Pack())) continue;
-      nodes.push_back(LogicalNode{inst.right.node, 0, inst.right.order});
-    }
-    NAVPATH_RETURN_NOT_OK(plan.root()->Close());
+    std::uint64_t count = 0;
+    NAVPATH_RETURN_NOT_OK(
+        DrainPlan(db, &plan, /*collect_nodes=*/true, &count, &nodes));
 
     if (segment_has_predicates) {
       const LocationStep& predicated = path.steps[end - 1];
@@ -373,18 +365,7 @@ Result<QueryRunResult> ExecuteQueryImpl(Database* db,
     }
   }
 
-  if (collect && result.nodes.size() > 1) {
-    // Document-order sort (Sec. 5.5); order keys travel with instances so
-    // no I/O is needed.
-    const double n = static_cast<double>(result.nodes.size());
-    db->clock()->ChargeCpu(static_cast<SimTime>(
-        n * std::max(1.0, std::log2(n)) *
-        static_cast<double>(db->costs().sort_op)));
-    std::sort(result.nodes.begin(), result.nodes.end(),
-              [](const LogicalNode& a, const LogicalNode& b) {
-                return a.order < b.order;
-              });
-  }
+  if (collect) SortDocumentOrder(db, &result.nodes);
 
   result.total_time = db->clock()->now() - window_t0;
   result.cpu_time = db->clock()->cpu_time() - window_cpu0;
@@ -393,6 +374,18 @@ Result<QueryRunResult> ExecuteQueryImpl(Database* db,
 }
 
 }  // namespace
+
+void SortDocumentOrder(Database* db, std::vector<LogicalNode>* nodes) {
+  if (nodes->size() <= 1) return;
+  const double n = static_cast<double>(nodes->size());
+  db->clock()->ChargeCpu(static_cast<SimTime>(
+      n * std::max(1.0, std::log2(n)) *
+      static_cast<double>(db->costs().sort_op)));
+  std::sort(nodes->begin(), nodes->end(),
+            [](const LogicalNode& a, const LogicalNode& b) {
+              return a.order < b.order;
+            });
+}
 
 Result<QueryRunResult> ExecutePath(Database* db, const ImportedDocument& doc,
                                    const LocationPath& path,

@@ -75,6 +75,12 @@ PathExplain BuildPathExplain(Database* db, const LocationPath& path,
                              SimTime io_wait_time, const Metrics& window,
                              const PathSummary* summary = nullptr);
 
+/// Document-order sort of distinct result nodes (Sec. 5.5), charging
+/// n * max(1, log2 n) sort operations to the clock. Order keys travel
+/// with the instances, so no I/O is needed. Shared by every executor
+/// that collects nodes.
+void SortDocumentOrder(Database* db, std::vector<LogicalNode>* nodes);
+
 /// Runs one location path and returns its (distinct) result nodes/count.
 Result<QueryRunResult> ExecutePath(Database* db, const ImportedDocument& doc,
                                    const LocationPath& path,

@@ -1,7 +1,6 @@
 #include "compiler/shared_scan.h"
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 
 #include "algebra/xstep.h"
@@ -127,16 +126,8 @@ Result<SharedScanResult> ExecuteQuerySharedScan(
     result.combined.count += c;
   }
 
-  if (query.mode == PathQuery::Mode::kNodes &&
-      result.combined.nodes.size() > 1) {
-    const double n = static_cast<double>(result.combined.nodes.size());
-    db->clock()->ChargeCpu(static_cast<SimTime>(
-        n * std::max(1.0, std::log2(n)) *
-        static_cast<double>(db->costs().sort_op)));
-    std::sort(result.combined.nodes.begin(), result.combined.nodes.end(),
-              [](const LogicalNode& a, const LogicalNode& b) {
-                return a.order < b.order;
-              });
+  if (query.mode == PathQuery::Mode::kNodes) {
+    SortDocumentOrder(db, &result.combined.nodes);
   }
   result.combined.total_time = db->clock()->now();
   result.combined.cpu_time = db->clock()->cpu_time();

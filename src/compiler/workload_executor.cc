@@ -102,8 +102,9 @@ Status ValidateWorkloadOptions(const WorkloadOptions& options) {
   }
   if (options.txn != nullptr && options.enable_sharing) {
     return Status::InvalidArgument(
-        "cross-query sharing streams one producer's instances to all "
-        "members and cannot serve snapshots pinned to different versions");
+        "transactions (WorkloadOptions.txn) cannot be combined with "
+        "cross-query sharing: one producer stream cannot serve snapshots "
+        "pinned to different versions");
   }
   if (options.max_writers == 0) {
     return Status::InvalidArgument(
@@ -149,10 +150,6 @@ Status WorkloadExecutor::Add(const PathQuery& query, const PlanOptions& plan,
       return Status::InvalidArgument("relative path without context nodes");
     }
   }
-  if (!jobs_.empty() && arrival < jobs_.back().arrival) {
-    return Status::InvalidArgument(
-        "arrivals must be nondecreasing in Add() order");
-  }
   if (deadline != 0 && deadline <= arrival) {
     return Status::InvalidArgument("deadline not after arrival");
   }
@@ -161,16 +158,9 @@ Status WorkloadExecutor::Add(const PathQuery& query, const PlanOptions& plan,
   job.plan_options = plan;
   if (options_.explain) job.plan_options.profile = true;
   job.contexts = std::move(contexts);
-  job.arrival = arrival;
   job.deadline = deadline;
-  job.result.arrival = arrival;
-  // Owner 0 is reserved for standalone execution, so merges are only ever
-  // attributed to genuine cross-query interest.
-  job.owner_id = static_cast<std::uint32_t>(jobs_.size()) + 1;
   ComputeEstimates(&job);
-  job.footprint = FootprintFor(job);
-  jobs_.push_back(std::move(job));
-  return Status::OK();
+  return Intake(std::move(job), arrival);
 }
 
 Status WorkloadExecutor::Add(const std::string& query,
@@ -190,18 +180,23 @@ Status WorkloadExecutor::AddWrite(std::vector<WriteOp> ops,
   if (ops.empty()) {
     return Status::InvalidArgument("write transaction without operations");
   }
-  if (!jobs_.empty() && arrival < jobs_.back().arrival) {
-    return Status::InvalidArgument(
-        "arrivals must be nondecreasing in Add() order");
-  }
   Job job;
   job.is_write = true;
   job.write_ops = std::move(ops);
-  job.arrival = arrival;
+  return Intake(std::move(job), arrival);
+}
+
+Status WorkloadExecutor::Intake(Job job, SimTime arrival) {
+  if (!jobs_.empty() && arrival < jobs_.back().result.arrival) {
+    return Status::InvalidArgument(
+        "arrivals must be nondecreasing in Add() order");
+  }
   job.result.arrival = arrival;
-  job.result.is_write = true;
+  job.result.is_write = job.is_write;
+  // Owner 0 is reserved for standalone execution, so merges are only ever
+  // attributed to genuine cross-query interest.
   job.owner_id = static_cast<std::uint32_t>(jobs_.size()) + 1;
-  job.footprint = kWriterFootprint;
+  job.footprint = FootprintFor(job);
   jobs_.push_back(std::move(job));
   return Status::OK();
 }
@@ -255,7 +250,7 @@ Status WorkloadExecutor::PlanShareGroups() {
   PrefixTrie trie;
   for (std::size_t i = 0; i < jobs_.size(); ++i) {
     const Job& job = jobs_[i];
-    if (job.query.paths.size() != 1 || job.arrival != 0) continue;
+    if (job.query.paths.size() != 1 || job.result.arrival != 0) continue;
     trie.AddPath(i, job.query.paths[0]);
   }
   std::vector<SharedPrefix> candidates = trie.ExtractGroups();
@@ -411,30 +406,6 @@ Status WorkloadExecutor::FallBackToPrivate(Job* job) {
 }
 
 Status WorkloadExecutor::StartNextPath(Job* job) {
-  if (job->is_write) {
-    // Activation of a write transaction: open the writer against the
-    // current version. The ops themselves are applied writer_batch per
-    // pull (see PullOnce), so writes interleave with reads at pull
-    // granularity.
-    job->writer = options_.txn->BeginWrite();
-    job->result.snapshot_seq = job->writer->base_seq();
-    ++writers_active_;
-    return Status::OK();
-  }
-  if (options_.txn != nullptr && job->snapshot == nullptr) {
-    // Snapshot isolation: the query pins one committed version at
-    // activation and every path of the query reads it, no matter what
-    // commits mid-flight. Opening a snapshot is a host-side operation
-    // (no simulated-clock charges), and a genesis snapshot translates
-    // identically, so a zero-writer workload schedules byte for byte
-    // like one without a TxnManager.
-    job->snapshot = options_.txn->OpenSnapshot();
-    job->result.snapshot_seq = job->snapshot->seq();
-  }
-  if (job->snapshot != nullptr) {
-    job->plan_options.translator = job->snapshot.get();
-    job->plan_options.snapshot_summary = job->snapshot->summary();
-  }
   if (job->share_group != kNoGroup && job->path_index == 0) {
     ShareGroup& group = groups_[job->share_group];
     if (!group.fanout->detached(job->share_slot)) {
@@ -461,6 +432,14 @@ Status WorkloadExecutor::StartNextPath(Job* job) {
   job->plan = std::move(plan);
   ResetPathState(job);
   return job->plan.root()->Open();
+}
+
+void WorkloadExecutor::BeginWriterAttempt(Job* job) {
+  job->writer = options_.txn->BeginWrite();
+  job->result.snapshot_seq = job->writer->base_seq();
+  job->ops_done = 0;
+  job->result.writes_applied = 0;
+  job->result.deletes_applied = 0;
 }
 
 Status WorkloadExecutor::ApplyWriteOp(Job* job, const WriteOp& op) {
@@ -620,6 +599,12 @@ std::size_t WorkloadExecutor::SjfPick(
   return best;
 }
 
+const std::vector<std::size_t>& WorkloadExecutor::Positions(std::size_t n) {
+  positions_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) positions_[i] = i;
+  return positions_;
+}
+
 std::size_t WorkloadExecutor::PickNext(
     const std::vector<std::size_t>& active, std::uint64_t decisions) {
   NAVPATH_DCHECK(!active.empty());
@@ -631,26 +616,14 @@ std::size_t WorkloadExecutor::PickNext(
   ++*decisions_counter_;
   pool_depth_histogram_->Record(db_->disk()->pending_requests());
   switch (options_.policy) {
-    case WorkloadPolicy::kRoundRobin: {
+    case WorkloadPolicy::kRoundRobin:
       // Rotate over stable job ids, not positions: `decisions % size`
       // re-aligns whenever the active set shrinks and can repeatedly
       // skip the same job. With ids, every active job is pulled within
       // one rotation no matter how the set reshuffles.
-      std::size_t pick = 0;
-      for (std::size_t i = 0; i < active.size(); ++i) {
-        if (active[i] > rr_cursor_) {
-          pick = i;
-          break;
-        }
-      }
-      rr_cursor_ = active[pick];
-      return pick;
-    }
-    case WorkloadPolicy::kShortestRemainingCost: {
-      std::vector<std::size_t> all(active.size());
-      for (std::size_t i = 0; i < active.size(); ++i) all[i] = i;
-      return SjfPick(active, all);
-    }
+      return RotatePick(active, Positions(active.size()), &rr_cursor_);
+    case WorkloadPolicy::kShortestRemainingCost:
+      return SjfPick(active, Positions(active.size()));
     case WorkloadPolicy::kHybrid: {
       // Restrict scheduling to the cheapest-remaining jobs and widen the
       // window as jobs finish. The drive's SSTF elevator serves whatever
@@ -664,8 +637,7 @@ std::size_t WorkloadExecutor::PickNext(
       // breadth — round-robin pool depth and cross-query merges. Without
       // document statistics there is no cost signal to rank by and the
       // window covers the whole active set.
-      std::vector<std::size_t> ranked(active.size());
-      for (std::size_t i = 0; i < active.size(); ++i) ranked[i] = i;
+      std::vector<std::size_t> ranked = Positions(active.size());
       if (options_.stats != nullptr) {
         std::sort(ranked.begin(), ranked.end(),
                   [&](std::size_t a, std::size_t b) {
@@ -726,9 +698,7 @@ std::size_t WorkloadExecutor::PickNext(
 Status WorkloadExecutor::BeginRun(std::size_t expected_jobs) {
   NAVPATH_RETURN_NOT_OK(ValidateWorkloadOptions(options_));
   n_total_ = expected_jobs;
-  if (options_.cold_start) {
-    NAVPATH_RETURN_NOT_OK(db_->ResetMeasurement());
-  }
+  NAVPATH_RETURN_NOT_OK(db_->ResetMeasurement());
   sched_.Reset();
   decisions_counter_ = nullptr;
   pool_depth_histogram_ = nullptr;
@@ -744,13 +714,6 @@ Status WorkloadExecutor::BeginRun(std::size_t expected_jobs) {
   writer_conflict_aborts_ = 0;
   writer_cost_ewma_ = 0.0;
 
-  // Everything below reports deltas over this window, so repeated runs on
-  // a shared Database measure only themselves. After a cold start the
-  // window base is zero and the deltas equal the absolute readings.
-  window_start_ = db_->metrics()->Snapshot();
-  window_t0_ = db_->clock()->now();
-  window_cpu0_ = db_->clock()->cpu_time();
-
   budget_ = std::max<std::size_t>(
       1, static_cast<std::size_t>(
              static_cast<double>(db_->buffer()->capacity()) *
@@ -758,8 +721,9 @@ Status WorkloadExecutor::BeginRun(std::size_t expected_jobs) {
   return Status::OK();
 }
 
-void WorkloadExecutor::FinishJob(std::size_t active_pos) {
+void WorkloadExecutor::FinishJob(std::size_t active_pos, Status status) {
   Job& job = jobs_[run_active_[active_pos]];
+  job.result.status = std::move(status);
   job.result.finished_at = db_->clock()->now();
   job.plan = PathPlan();
   // Release the dedup table itself, not just its contents: finished jobs
@@ -769,8 +733,8 @@ void WorkloadExecutor::FinishJob(std::size_t active_pos) {
   job.seen = decltype(job.seen)();
   // Transaction state goes after the plan (the plan's translator points
   // into the snapshot). Dropping the snapshot unpins its version for
-  // reclamation; a writer still open here (insert failure path) was
-  // already aborted. The writer slot frees for the next queued writer.
+  // reclamation; a writer still open here (op failure) was already
+  // aborted. The writer slot frees for the next queued writer.
   job.snapshot.reset();
   job.writer.reset();
   if (job.is_write) --writers_active_;
@@ -782,7 +746,7 @@ void WorkloadExecutor::FinishJob(std::size_t active_pos) {
                     static_cast<std::ptrdiff_t>(active_pos));
 }
 
-Result<std::size_t> WorkloadExecutor::PullOnce() {
+std::size_t WorkloadExecutor::PullOnce() {
   NAVPATH_DCHECK(!run_active_.empty());
   const std::size_t pick = PickNext(run_active_, run_decisions_);
   const std::size_t job_index = run_active_[pick];
@@ -793,95 +757,88 @@ Result<std::size_t> WorkloadExecutor::PullOnce() {
   db_->clock()->ChargeCpu(db_->costs().set_op);
   job.last_pull = ++run_decisions_;
   ++job.result.pulls;
+  const Result<bool> step =
+      job.is_write ? WriterStep(&job) : ReaderStep(&job, job_index);
+  if (step.ok() && !*step) return kNoJob;
+  FinishJob(pick, step.status());
+  return job_index;
+}
 
-  if (job.is_write) {
-    // A write transaction has no operator tree: each pull applies a
-    // batch of WriteOps (copy-on-write fixes charge the clock through
-    // the buffer; writer_batch == 1 is the historical one-op pull), and
-    // the pull after the last op commits — group commit amortizes the
-    // publish over the batch. Failures fail this job alone, exactly like
-    // a reader's bad pull; a lost first-committer race retries below. A
-    // writer pull advances the clock (synchronous fixes), so yielded
-    // readers get a fresh round before anyone is allowed to block.
-    consecutive_yields_ = 0;
-    if (job.ops_done < job.write_ops.size()) {
-      for (std::size_t applied = 0;
-           applied < options_.writer_batch &&
-           job.ops_done < job.write_ops.size();
-           ++applied) {
-        const Status op_status =
-            ApplyWriteOp(&job, job.write_ops[job.ops_done]);
-        if (!op_status.ok()) {
-          job.result.status = op_status;
-          (void)job.writer->Abort();
-          FinishJob(pick);
-          return job_index;
-        }
-        ++job.ops_done;
+Result<bool> WorkloadExecutor::WriterStep(Job* job) {
+  // A write transaction has no operator tree: each pull applies a batch
+  // of WriteOps (copy-on-write fixes charge the clock through the
+  // buffer; writer_batch == 1 is the historical one-op pull), and the
+  // pull after the last op commits — group commit amortizes the publish
+  // over the batch. A writer pull advances the clock (synchronous
+  // fixes), so yielded readers get a fresh round before anyone is
+  // allowed to block.
+  consecutive_yields_ = 0;
+  if (job->ops_done < job->write_ops.size()) {
+    for (std::size_t applied = 0;
+         applied < options_.writer_batch &&
+         job->ops_done < job->write_ops.size();
+         ++applied) {
+      const Status op_status =
+          ApplyWriteOp(job, job->write_ops[job->ops_done]);
+      if (!op_status.ok()) {
+        (void)job->writer->Abort();
+        return op_status;
       }
-      return kNoJob;
+      ++job->ops_done;
     }
-    const SimTime active_for =
-        db_->clock()->now() - job.result.admitted_at;
-    const Status committed = job.writer->Commit();
-    ++writer_commit_attempts_;
-    {
-      // Per-attempt cost sample for the admission estimate: the writer's
-      // wall time since activation, spread over its attempts (retries
-      // redo the whole transaction). EWMA with 1/4 gain follows phase
-      // changes without whipsawing on one odd transaction.
-      const double sample = static_cast<double>(active_for) /
-                            static_cast<double>(job.result.aborts + 1);
-      writer_cost_ewma_ = writer_cost_ewma_ == 0.0
-                              ? sample
-                              : 0.75 * writer_cost_ewma_ + 0.25 * sample;
-    }
-    if (!committed.ok()) {
-      if (committed.IsAborted() &&
-          job.result.aborts < options_.writer_max_retries) {
-        // Optimistic retry: back off in simulated time (exponential,
-        // capped at 64x, so conflictors get the window), re-begin
-        // against the new head, and re-apply the ops from scratch — the
-        // aborted attempt's work was rolled back with its shadow pages.
-        // A retried writer keeps its job: it never re-enters admission,
-        // so overload control cannot re-tier it mid-flight.
-        ++writer_conflict_aborts_;
-        ++job.result.aborts;
-        NAVPATH_DCHECK(!job.result.degraded);
-        const unsigned shift = static_cast<unsigned>(
-            std::min<std::uint64_t>(job.result.aborts - 1, 6));
-        db_->clock()->WaitUntil(db_->clock()->now() +
-                                (kWriterRetryBackoff << shift));
-        job.writer = options_.txn->BeginWrite();
-        job.result.snapshot_seq = job.writer->base_seq();
-        job.ops_done = 0;
-        job.result.writes_applied = 0;
-        job.result.deletes_applied = 0;
-        return kNoJob;
-      }
-      job.result.status = committed;
-      FinishJob(pick);
-      return job_index;
-    }
-    job.result.commit_seq = job.writer->commit_seq();
-    FinishJob(pick);
-    return job_index;
+    return false;
   }
+  const SimTime active_for = db_->clock()->now() - job->result.admitted_at;
+  const Status committed = job->writer->Commit();
+  ++writer_commit_attempts_;
+  {
+    // Per-attempt cost sample for the admission estimate: the writer's
+    // wall time since activation, spread over its attempts (retries redo
+    // the whole transaction). EWMA with 1/4 gain follows phase changes
+    // without whipsawing on one odd transaction.
+    const double sample = static_cast<double>(active_for) /
+                          static_cast<double>(job->result.aborts + 1);
+    writer_cost_ewma_ = writer_cost_ewma_ == 0.0
+                            ? sample
+                            : 0.75 * writer_cost_ewma_ + 0.25 * sample;
+  }
+  if (committed.IsAborted() &&
+      job->result.aborts < options_.writer_max_retries) {
+    // Optimistic retry: back off in simulated time (exponential, capped
+    // at 64x, so conflictors get the window), re-begin against the new
+    // head, and re-apply the ops from scratch — the aborted attempt's
+    // work was rolled back with its shadow pages. A retried writer keeps
+    // its job: it never re-enters admission, so overload control cannot
+    // re-tier it mid-flight.
+    ++writer_conflict_aborts_;
+    ++job->result.aborts;
+    NAVPATH_DCHECK(!job->result.degraded);
+    const unsigned shift = static_cast<unsigned>(
+        std::min<std::uint64_t>(job->result.aborts - 1, 6));
+    db_->clock()->WaitUntil(db_->clock()->now() +
+                            (kWriterRetryBackoff << shift));
+    BeginWriterAttempt(job);
+    return false;
+  }
+  NAVPATH_RETURN_NOT_OK(committed);
+  job->result.commit_seq = job->writer->commit_seq();
+  return true;
+}
 
+Result<bool> WorkloadExecutor::ReaderStep(Job* job, std::size_t job_index) {
   // Slide the classification window once it is full, so the hybrid
   // policy judges a job on its recent behavior, not its whole history.
-  if (job.result.pulls - job.window_pulls0 >= kClassifyWindow) {
-    const PlanSharedState* window_shared = job.plan.shared();
-    job.window_pulls0 = job.result.pulls;
-    job.window_yields0 = window_shared->io_yields;
-    job.window_blocks0 = window_shared->io_blocks;
+  PlanSharedState* shared = job->plan.shared();
+  if (job->result.pulls - job->window_pulls0 >= kClassifyWindow) {
+    job->window_pulls0 = job->result.pulls;
+    job->window_yields0 = shared->io_yields;
+    job->window_blocks0 = shared->io_blocks;
   }
 
   // An I/O-bound query yields instead of blocking while siblings still
   // have CPU work — its pending reads keep pooling at the disk. Once a
   // full round of active queries yielded, everyone is I/O bound: let
   // this one block, serving the deepest possible pool.
-  PlanSharedState* shared = job.plan.shared();
   shared->yield_on_block = run_active_.size() > 1 &&
                            consecutive_yields_ < run_active_.size();
 
@@ -892,7 +849,7 @@ Result<std::size_t> WorkloadExecutor::PullOnce() {
     // behind the long queries' scans. Ranked per pull from live
     // estimates; ties break to the lower job id. A job whose deadline
     // slack ran out joins the class regardless of rank.
-    const double mine = RemainingCost(job);
+    const double mine = RemainingCost(*job);
     std::size_t cheaper = 0;
     for (const std::size_t idx : run_active_) {
       if (idx == job_index) continue;
@@ -901,89 +858,60 @@ Result<std::size_t> WorkloadExecutor::PullOnce() {
     }
     shared->io_priority =
         cheaper < std::max<std::size_t>(1, run_active_.size() / 4) ||
-        DeadlineUrgent(job);
+        DeadlineUrgent(*job);
   }
-  if (job.share_group != kNoGroup) {
+  if (job->share_group != kNoGroup) {
     // Measurement-side: stream-buffer occupancy seen by shared pulls.
     sched_.GetHistogram("share.buffered_instances")
-        .Record(groups_[job.share_group].fanout->buffered());
+        .Record(groups_[job->share_group].fanout->buffered());
   }
 
-  Result<bool> pulled = job.plan.root()->Pull(&step_inst_);
+  Result<bool> pulled = job->plan.root()->Pull(&step_inst_);
   if (!pulled.ok()) {
     // Per-query fault isolation: a pull that surfaces an error (e.g.
     // Status::Corruption from a permanently bad page after retries)
-    // fails this query alone. Its neighbors and the serving loop keep
-    // running; the error is reported in the query's result status.
-    job.result.status = pulled.status();
-    (void)job.plan.root()->Close();  // best-effort resource release
-    FinishJob(pick);
-    return job_index;
+    // fails this query alone; its neighbors keep running.
+    (void)job->plan.root()->Close();  // best-effort resource release
+    return pulled.status();
   }
   const bool have = *pulled;
   if (!have && shared->yielded) {
     shared->yielded = false;
     ++consecutive_yields_;
-    return kNoJob;
+    return false;
   }
   consecutive_yields_ = 0;
   if (have) {
     // Final duplicate elimination, as in single-query execution.
     db_->clock()->ChargeCpu(db_->costs().set_op);
-    if (!job.seen.insert(step_inst_.right.node.Pack())) {
-      return kNoJob;
-    }
-    ++job.result.count;
-    ++job.produced_in_path;
+    if (!job->seen.insert(step_inst_.right.node.Pack())) return false;
+    ++job->result.count;
+    ++job->produced_in_path;
     if (options_.collect_nodes &&
-        job.query.mode == PathQuery::Mode::kNodes) {
-      job.result.nodes.push_back(
+        job->query.mode == PathQuery::Mode::kNodes) {
+      job->result.nodes.push_back(
           LogicalNode{step_inst_.right.node, 0, step_inst_.right.order});
     }
-    return kNoJob;
+    return false;
   }
 
   // Exhaustion — unless the stream detached this member mid-flight
   // (spill-to-recompute): then the member has NOT seen the whole
   // stream and must re-derive its path privately.
-  if (job.share_group != kNoGroup &&
-      groups_[job.share_group].fanout->detached(job.share_slot)) {
-    NAVPATH_RETURN_NOT_OK(FallBackToPrivate(&job));
-    return kNoJob;
+  if (job->share_group != kNoGroup &&
+      groups_[job->share_group].fanout->detached(job->share_slot)) {
+    NAVPATH_RETURN_NOT_OK(FallBackToPrivate(job));
+    return false;
   }
-
-  const Status closed = job.plan.root()->Close();
-  if (!closed.ok()) {
-    job.result.status = closed;
-    FinishJob(pick);
-    return job_index;
+  NAVPATH_RETURN_NOT_OK(job->plan.root()->Close());
+  FinishPath(job);
+  ++job->path_index;
+  if (job->path_index < job->query.paths.size()) {
+    NAVPATH_RETURN_NOT_OK(StartNextPath(job));
+    return false;
   }
-  FinishPath(&job);
-  ++job.path_index;
-  if (job.path_index < job.query.paths.size()) {
-    const Status started = StartNextPath(&job);
-    if (!started.ok()) {
-      job.result.status = started;
-      FinishJob(pick);
-      return job_index;
-    }
-    return kNoJob;
-  }
-
-  // Query finished: order its results, free its plan and footprint,
-  // and let the admission controller top the active set back up.
-  if (job.result.nodes.size() > 1) {
-    const double n = static_cast<double>(job.result.nodes.size());
-    db_->clock()->ChargeCpu(static_cast<SimTime>(
-        n * std::max(1.0, std::log2(n)) *
-        static_cast<double>(db_->costs().sort_op)));
-    std::sort(job.result.nodes.begin(), job.result.nodes.end(),
-              [](const LogicalNode& a, const LogicalNode& b) {
-                return a.order < b.order;
-              });
-  }
-  FinishJob(pick);
-  return job_index;
+  SortDocumentOrder(db_, &job->result.nodes);
+  return true;
 }
 
 WorkloadResult WorkloadExecutor::CollectResult() {
@@ -999,9 +927,9 @@ WorkloadResult WorkloadExecutor::CollectResult() {
     result.queries.push_back(std::move(job.result));
   }
   jobs_.clear();
-  result.total_time = db_->clock()->now() - window_t0_;
-  result.cpu_time = db_->clock()->cpu_time() - window_cpu0_;
-  result.metrics = db_->metrics()->Delta(window_start_);
+  result.total_time = db_->clock()->now();
+  result.cpu_time = db_->clock()->cpu_time();
+  result.metrics = *db_->metrics();
   result.scheduler = sched_.Snapshot();
   return result;
 }
@@ -1011,13 +939,14 @@ class WorkloadExecutor::FifoAdmission final : public Admission {
   explicit FifoAdmission(WorkloadExecutor* executor) : e_(executor) {}
 
   SimTime NextArrival() const override {
-    return next_ < e_->jobs_.size() ? e_->jobs_[next_].arrival : kNone;
+    return next_ < e_->jobs_.size() ? e_->jobs_[next_].result.arrival
+                                    : kNone;
   }
   // Activates jobs in Add() order while the head has arrived and passes
   // the gate.
   Status Arrive() override {
     while (next_ < e_->jobs_.size() &&
-           e_->jobs_[next_].arrival <= e_->db_->clock()->now() &&
+           e_->jobs_[next_].result.arrival <= e_->db_->clock()->now() &&
            e_->CanAdmit(next_)) {
       e_->Activate(next_++);
     }
@@ -1070,7 +999,7 @@ Result<WorkloadResult> WorkloadExecutor::Drive(Admission* admission) {
       if (next != 0 && next <= db_->clock()->now()) {
         NAVPATH_RETURN_NOT_OK(admission->Arrive());
       }
-      NAVPATH_ASSIGN_OR_RETURN(const std::size_t done, PullOnce());
+      const std::size_t done = PullOnce();
       if (done != kNoJob) NAVPATH_RETURN_NOT_OK(admission->Finished(done));
     }
   }();
@@ -1096,7 +1025,7 @@ Status WorkloadExecutor::ActivateJob(std::size_t index) {
   if (job.activated || job.done) {
     return Status::InvalidArgument("job already activated");
   }
-  if (job.arrival > db_->clock()->now()) {
+  if (job.result.arrival > db_->clock()->now()) {
     return Status::InvalidArgument("job has not arrived yet");
   }
   if (job.is_write && writers_active_ >= WriterLimit()) {
@@ -1111,23 +1040,44 @@ Status WorkloadExecutor::ActivateJob(std::size_t index) {
 void WorkloadExecutor::Activate(std::size_t index) {
   Job& job = jobs_[index];
   job.activated = true;
-  const Status started = StartNextPath(&job);
-  job.result.admitted_at = db_->clock()->now();
-  if (!started.ok()) {
-    // A plan that fails to open fails its query alone; the workload and
-    // the serving loop keep running (per-query status isolation).
-    job.result.status = started;
-    job.result.finished_at = db_->clock()->now();
-    job.plan = PathPlan();
-    job.snapshot.reset();
-    if (job.share_group != kNoGroup) LeaveShareGroup(&job);
-    job.done = true;
-    ++completed_;
-    return;
+  Status started;
+  if (job.is_write) {
+    // The ops are applied writer_batch per pull (WriterStep), so writes
+    // interleave with reads at pull granularity.
+    ++writers_active_;
+    BeginWriterAttempt(&job);
+  } else {
+    if (options_.txn != nullptr) {
+      // Snapshot isolation: the query pins one committed version at
+      // activation and every path of the query reads it, no matter what
+      // commits mid-flight. Opening a snapshot is a host-side operation
+      // (no simulated-clock charges), and a genesis snapshot translates
+      // identically, so a zero-writer workload schedules byte for byte
+      // like one without a TxnManager.
+      job.snapshot = options_.txn->OpenSnapshot();
+      job.result.snapshot_seq = job.snapshot->seq();
+      job.plan_options.translator = job.snapshot.get();
+      job.plan_options.snapshot_summary = job.snapshot->summary();
+    }
+    started = StartNextPath(&job);
   }
+  job.result.admitted_at = db_->clock()->now();
+  // Keep the active set ascending by job id: the rotation picks
+  // (kRoundRobin, hybrid I/O set) rely on that order for fairness. FIFO
+  // admission activates in job-id order, so there this appends.
+  const auto at =
+      std::lower_bound(run_active_.begin(), run_active_.end(), index);
+  const auto pos = static_cast<std::size_t>(at - run_active_.begin());
+  run_active_.insert(at, index);
   // StartNextPath may have fallen back to private (pre-start detach), so
   // the charge derives from the job's current state.
   footprint_used_ += job.footprint;
+  if (!started.ok()) {
+    // A plan that fails to open fails its query alone; the workload and
+    // the serving loop keep running (per-query status isolation).
+    FinishJob(pos, std::move(started));
+    return;
+  }
   if (job.share_group != kNoGroup) {
     ShareGroup& group = groups_[job.share_group];
     if (!group.charged) {
@@ -1135,12 +1085,6 @@ void WorkloadExecutor::Activate(std::size_t index) {
       footprint_used_ += group.footprint;
     }
   }
-  // Keep the active set ascending by job id: the rotation picks
-  // (kRoundRobin, hybrid I/O set) rely on that order for fairness. FIFO
-  // admission activates in job-id order, so there this appends.
-  run_active_.insert(
-      std::lower_bound(run_active_.begin(), run_active_.end(), index),
-      index);
 }
 
 Status WorkloadExecutor::RetierJob(std::size_t index,
@@ -1198,7 +1142,7 @@ double WorkloadExecutor::EstimatedCost(std::size_t index) const {
 
 SimTime WorkloadExecutor::JobArrival(std::size_t index) const {
   NAVPATH_DCHECK(index < jobs_.size());
-  return jobs_[index].arrival;
+  return jobs_[index].result.arrival;
 }
 
 const WorkloadQueryResult& WorkloadExecutor::JobResult(

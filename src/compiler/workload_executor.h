@@ -31,6 +31,10 @@
 //
 // There is one pull loop; which job is activated when is decided by an
 // Admission plugged into it (Run()'s own FIFO, or the serving layer's).
+// Every job, reader or writer, has one lifecycle: Add/AddWrite take it
+// in, Activate starts it, each pull runs one step of its kind (a reader
+// pulls its plan; a writer applies ops, commits or retries), and it ends,
+// done or failed, through one exit that releases everything it held.
 #ifndef NAVPATH_COMPILER_WORKLOAD_EXECUTOR_H_
 #define NAVPATH_COMPILER_WORKLOAD_EXECUTOR_H_
 
@@ -76,9 +80,6 @@ struct WorkloadOptions {
 
   /// Collect result nodes (document order) for node-mode queries.
   bool collect_nodes = false;
-
-  /// Reset buffer/clock/metrics before the run (cold start).
-  bool cold_start = true;
 
   /// Document statistics for kShortestRemainingCost and for cost-derived
   /// admission footprints; without them the policy degrades to
@@ -256,14 +257,13 @@ struct WorkloadResult {
   /// Per-query outcomes, in Add() order.
   std::vector<WorkloadQueryResult> queries;
 
-  /// Simulated makespan of the run window and its CPU portion: deltas
-  /// from the start of Run() to its end, so repeated runs on a shared
-  /// Database report independent numbers (cold starts make the window
-  /// identical to absolute readings).
+  /// Simulated makespan of the run and its CPU portion. Every Run()
+  /// starts cold (buffer, clock and metrics reset), so repeated runs on
+  /// a shared Database report independent numbers.
   SimTime total_time = 0;
   SimTime cpu_time = 0;
-  /// Database metrics delta over the run window (includes
-  /// requests_merged and the elevator depth counters).
+  /// Database metrics of the run (includes requests_merged and the
+  /// elevator depth counters).
   Metrics metrics;
 
   /// Scheduler-side observability for the run: counters
@@ -405,51 +405,53 @@ class WorkloadExecutor {
   const WorkloadQueryResult& JobResult(std::size_t index) const;
 
  private:
+  /// One admitted job: a path reader (possibly a shared-prefix member)
+  /// or, with WorkloadOptions.txn, a write transaction. Fields are
+  /// grouped by the kind that uses them.
   struct Job {
+    // Every kind: lifecycle (set by Activate and FinishJob), scheduling
+    // and the outcome (result.arrival is the job's arrival).
+    std::uint32_t owner_id = 0;
+    bool is_write = false;
+    /// Buffer pages the job may occupy while active (admission).
+    std::size_t footprint = 0;
+    bool activated = false;
+    bool done = false;
+    std::uint64_t last_pull = 0;  // scheduler decision stamp (fair ties)
+    WorkloadQueryResult result;
+
+    // Writer: applies write_ops writer_batch per pull through the open
+    // transaction, then commits.
+    std::vector<WriteOp> write_ops;
+    std::size_t ops_done = 0;
+    std::unique_ptr<WriterTxn> writer;
+
+    // Reader: the query and its plan options, pinned snapshot (txn),
+    // and per-path cost-model estimates (kShortestRemainingCost, kHybrid
+    // and cost-derived admission footprints).
     PathQuery query;
     PlanOptions plan_options;
     std::vector<LogicalNode> contexts;
-    std::uint32_t owner_id = 0;
-    SimTime arrival = 0;
     /// Absolute turnaround deadline (0 = none): maps onto drive read
     /// priority and hybrid-window placement, never onto correctness.
     SimTime deadline = 0;
-    /// Buffer pages the job's prefetch state may occupy (admission).
-    std::size_t footprint = 0;
-    /// Lifecycle, set by Activate and FinishJob.
-    bool activated = false;
-    bool done = false;
-
-    // Mixed-workload state (WorkloadOptions.txn). A read job pins the
-    // snapshot its plans translate through; a write job owns the open
-    // writer transaction and steps through write_ops one pull at a time.
-    bool is_write = false;
-    std::vector<WriteOp> write_ops;
-    std::size_t ops_done = 0;
     std::shared_ptr<Snapshot> snapshot;
-    std::unique_ptr<WriterTxn> writer;
-
-    // Cost-model estimates per path (kShortestRemainingCost, kHybrid and
-    // cost-derived admission footprints).
     std::vector<double> path_costs;
     std::vector<double> path_cards;
     std::vector<double> path_clusters;
     /// Max estimated clusters touched by any operand path (0 = no stats).
     double clusters_touched = 0.0;
-
-    // Sharing state (WorkloadOptions.enable_sharing). A job in a group
-    // consumes the group's shared stream for its first path; kNoGroup
-    // means private execution (never grouped, group declined, or the job
-    // was detached and fell back).
+    /// Shared-prefix member (WorkloadOptions.enable_sharing): consumes
+    /// the group's stream for its first path; kNoGroup means private
+    /// execution (never grouped, group declined, or detached and fell
+    /// back).
     std::size_t share_group = static_cast<std::size_t>(-1);
     std::size_t share_slot = 0;
-
-    // Run state.
+    // Reader run state: the current path's plan and dedup set.
     std::size_t path_index = 0;
     PathPlan plan;
-    KeySet seen;  // dedup within current path
+    KeySet seen;
     std::uint64_t produced_in_path = 0;
-    std::uint64_t last_pull = 0;  // scheduler decision stamp (fair ties)
     // Classification window (kHybrid): snapshots of the job's pull count
     // and the plan's yield/block counters at the window start. Reset
     // every kClassifyWindow pulls and whenever a new path plan opens.
@@ -464,7 +466,6 @@ class WorkloadExecutor {
     SimTime path_t0 = 0;
     SimTime path_io0 = 0;
     std::uint64_t path_count_before = 0;
-    WorkloadQueryResult result;
   };
 
   /// One adopted sharing group: the producer plan evaluating the common
@@ -487,6 +488,11 @@ class WorkloadExecutor {
 
   static constexpr std::size_t kNoGroup = static_cast<std::size_t>(-1);
 
+  /// The intake shared by Add and AddWrite: checks the arrival order,
+  /// stamps the arrival and owner id, prices the footprint (FootprintFor)
+  /// and appends the job.
+  Status Intake(Job job, SimTime arrival);
+
   /// Computes the cost-model estimates (per-path costs, cardinalities,
   /// clusters) for the job's current plan options. Shared by Add and
   /// RetierJob.
@@ -498,8 +504,8 @@ class WorkloadExecutor {
   /// Returned by PullOnce when no job completed on that decision.
   static constexpr std::size_t kNoJob = static_cast<std::size_t>(-1);
 
-  /// Setup shared by both Run overloads: option validation, cold start,
-  /// measurement-window snapshots, the admission budget, and
+  /// Setup shared by both Run overloads: option validation, cold start
+  /// (buffer, clock and metrics reset), the admission budget, and
   /// scheduler-state reset.
   Status BeginRun(std::size_t expected_jobs);
 
@@ -510,26 +516,40 @@ class WorkloadExecutor {
   /// ActivateJob and RetierJob's guard: inside Drive, valid job index.
   Status CheckAdmissionCall(std::size_t index) const;
 
-  /// The one activation path (Run() and ActivateJob): opens the job's
-  /// plan, charges its footprint (and its group's producer footprint on
-  /// the group's first admission) and inserts it into the active set in
-  /// job-id order. A plan that fails to open fails the job alone.
+  /// The one activation path (Run() and ActivateJob): starts the job
+  /// (a writer's first attempt, or a reader's snapshot and first plan),
+  /// charges its footprint (and its group's producer footprint on the
+  /// group's first admission) and inserts it into the active set in
+  /// job-id order. A plan that fails to open ends the job through
+  /// FinishJob at once.
   void Activate(std::size_t index);
 
-  /// One scheduling decision over run_active_: pick, pull, account.
-  /// Handles yields, results, path transitions, sharing detach/fallback,
-  /// and completion (including footprint release). A pull that surfaces
-  /// an error fails that job alone: the error lands in the job's result
-  /// status and the loop keeps serving its neighbors. Returns the jobs_
-  /// index of the job that finished on this decision, kNoJob otherwise.
-  Result<std::size_t> PullOnce();
+  /// One scheduling decision over run_active_: pick, one per-kind step
+  /// (WriterStep or ReaderStep), and FinishJob if the step ended the
+  /// job. Returns the jobs_ index of the job that finished on this
+  /// decision, kNoJob otherwise.
+  std::size_t PullOnce();
 
-  /// Completion bookkeeping shared by the success and failure exits of
-  /// PullOnce: stamps finished_at, frees plan + footprint, leaves any
-  /// share group, and removes the job from the active set.
-  void FinishJob(std::size_t active_pos);
+  /// A writer's pull: applies up to writer_batch ops, or commits after
+  /// the last one; a lost first-committer race within
+  /// writer_max_retries backs off and starts a new attempt. Returns
+  /// true once committed, false while running, or the error that fails
+  /// the job (op error, commit failure, exhausted retries).
+  Result<bool> WriterStep(Job* job);
 
-  /// Builds the final WorkloadResult from the measurement window.
+  /// A reader's pull: pulls its plan, dedups the result, moves to the
+  /// next path on exhaustion, and spills a detached shared member to a
+  /// private plan. Returns true once the last path is done (results
+  /// sorted), false while running, or the error that fails the job.
+  Result<bool> ReaderStep(Job* job, std::size_t job_index);
+
+  /// The one exit every job ends through, with its final `status`
+  /// (success or the error that failed it alone): stamps finished_at,
+  /// frees plan, snapshot, writer slot and footprint, leaves any share
+  /// group, and removes the job from the active set.
+  void FinishJob(std::size_t active_pos, Status status);
+
+  /// Builds the final WorkloadResult.
   WorkloadResult CollectResult();
 
   /// Admission footprint of `job`: the static prefetch-state bound,
@@ -561,12 +581,16 @@ class WorkloadExecutor {
   /// set so instances already emitted are not double-counted.
   Status FallBackToPrivate(Job* job);
 
-  /// Builds and opens the plan for the job's next path.
+  /// Builds and opens the plan for a reader's next path.
   Status StartNextPath(Job* job);
 
   /// Per-path reset for a freshly built plan: dedup set, progress count,
   /// hybrid classification window and (explain) measurement window.
   void ResetPathState(Job* job);
+
+  /// Opens a writer transaction against the current head and rewinds
+  /// the job's ops: a writer's activation and each of its retries.
+  void BeginWriterAttempt(Job* job);
 
   /// Applies one WriteOp through the job's open writer transaction
   /// (insert or last-child-by-tag delete), bumping the result counters.
@@ -614,6 +638,10 @@ class WorkloadExecutor {
   std::size_t SjfPick(const std::vector<std::size_t>& active,
                       const std::vector<std::size_t>& candidates) const;
 
+  /// 0..n-1, the candidate list "every active job", in a buffer reused
+  /// across decisions so the per-pull pick does not allocate.
+  const std::vector<std::size_t>& Positions(std::size_t n);
+
   /// Picks the next active job to pull, per policy. `active` holds
   /// indices into jobs_; returns an index into `active`.
   std::size_t PickNext(const std::vector<std::size_t>& active,
@@ -641,10 +669,8 @@ class WorkloadExecutor {
   /// Add()ed job count under Run(), the admission-declared expected total
   /// under Run(Admission*, ...) (where jobs may not all exist yet).
   std::size_t n_total_ = 0;
-  Metrics window_start_;
-  SimTime window_t0_ = 0;
-  SimTime window_cpu0_ = 0;
   PathInstance step_inst_;
+  std::vector<std::size_t> positions_;  // Positions()' buffer
   /// Aggregate admission footprint of the active set (plus charged
   /// producer footprints); a member so FallBackToPrivate can re-charge a
   /// spilled job's private footprint mid-run.

@@ -60,20 +60,6 @@ Status ValidateServeOptions(const ServeOptions& options) {
   if (options.recover_hold == 0) {
     return Status::InvalidArgument("recover_hold must be positive");
   }
-  // The txn+sharing combination gets its own message ahead of the
-  // generic sharing rejection: a tenant config that sets both must learn
-  // the combination itself is invalid (at every entry point, not just
-  // ValidateWorkloadOptions), not merely that serving lacks sharing.
-  if (options.workload.txn != nullptr && options.workload.enable_sharing) {
-    return Status::InvalidArgument(
-        "transactional serving (WorkloadOptions.txn) cannot be combined "
-        "with cross-query sharing: one producer stream cannot serve "
-        "tenants pinned to different snapshot versions");
-  }
-  if (options.workload.enable_sharing) {
-    return Status::InvalidArgument(
-        "cross-query sharing is not available under the serving layer");
-  }
   return ValidateWorkloadOptions(options.workload);
 }
 

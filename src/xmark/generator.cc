@@ -23,6 +23,22 @@ constexpr std::array<const char*, 48> kWords = {
 constexpr std::array<const char*, 6> kRegions = {
     "africa", "asia", "australia", "europe", "namerica", "samerica"};
 
+// Element counts at scale 1 (XMark's published proportions).
+constexpr std::uint32_t kItems = 21750;
+constexpr std::uint32_t kPersons = 25500;
+constexpr std::uint32_t kOpenAuctions = 12000;
+constexpr std::uint32_t kClosedAuctions = 9750;
+constexpr std::uint32_t kCategories = 1000;
+
+// Structure probabilities (chosen to reproduce XMark's query
+// selectivities: Q7 touches a large fraction of the document, Q15 a tiny
+// one).
+constexpr double kDescriptionIsParlist = 0.6;
+constexpr double kNestedParlist = 0.35;
+constexpr double kTextHasEmph = 0.35;
+constexpr double kEmphHasKeyword = 0.35;
+constexpr double kKeywordHasBold = 0.35;
+
 // XMark's per-region item shares at scale 1 (sums to 21750/21750).
 constexpr std::array<double, 6> kRegionShare = {550.0 / 21750,  2000.0 / 21750,
                                                 2200.0 / 21750, 6000.0 / 21750,
@@ -74,11 +90,11 @@ class Generator {
   void GenText(DomNodeId parent) {
     const DomNodeId text = tree_.AppendChild(parent, Tag("text"));
     tree_.AppendText(text, Words(4, 14));
-    if (rng_.NextBool(options_.text_has_emph)) {
+    if (rng_.NextBool(kTextHasEmph)) {
       const DomNodeId emph = Leaf(text, "emph", 1, 3);
-      if (rng_.NextBool(options_.emph_has_keyword)) {
+      if (rng_.NextBool(kEmphHasKeyword)) {
         const DomNodeId keyword = Leaf(emph, "keyword", 1, 3);
-        if (rng_.NextBool(options_.keyword_has_bold)) {
+        if (rng_.NextBool(kKeywordHasBold)) {
           Leaf(keyword, "bold", 1, 2);
         }
       }
@@ -91,7 +107,7 @@ class Generator {
     const int items = static_cast<int>(rng_.NextInRange(2, 4));
     for (int i = 0; i < items; ++i) {
       const DomNodeId listitem = tree_.AppendChild(parlist, Tag("listitem"));
-      if (depth < 2 && rng_.NextBool(options_.nested_parlist)) {
+      if (depth < 2 && rng_.NextBool(kNestedParlist)) {
         GenParlist(listitem, depth + 1);
       } else {
         GenText(listitem);
@@ -104,7 +120,7 @@ class Generator {
   void GenDescription(DomNodeId parent) {
     const DomNodeId description =
         tree_.AppendChild(parent, Tag("description"));
-    if (rng_.NextBool(options_.description_is_parlist)) {
+    if (rng_.NextBool(kDescriptionIsParlist)) {
       GenParlist(description, 0);
     } else {
       GenText(description);
@@ -144,8 +160,8 @@ class Generator {
 
   void GenRegions(DomNodeId site) {
     const DomNodeId regions = tree_.AppendChild(site, Tag("regions"));
-    const std::uint32_t total_items = Scaled(options_.items);
-    const std::uint32_t categories = Scaled(options_.categories);
+    const std::uint32_t total_items = Scaled(kItems);
+    const std::uint32_t categories = Scaled(kCategories);
     for (std::size_t r = 0; r < kRegions.size(); ++r) {
       const DomNodeId region = tree_.AppendChild(regions, Tag(kRegions[r]));
       const auto count = static_cast<std::uint32_t>(std::max(
@@ -156,7 +172,7 @@ class Generator {
 
   void GenCategories(DomNodeId site) {
     const DomNodeId categories = tree_.AppendChild(site, Tag("categories"));
-    const std::uint32_t count = Scaled(options_.categories);
+    const std::uint32_t count = Scaled(kCategories);
     for (std::uint32_t i = 0; i < count; ++i) {
       const DomNodeId category = tree_.AppendChild(categories, Tag("category"));
       tree_.AddAttribute(category, Tag("id"),
@@ -180,7 +196,7 @@ class Generator {
 
   void GenPeople(DomNodeId site) {
     const DomNodeId people = tree_.AppendChild(site, Tag("people"));
-    const std::uint32_t count = Scaled(options_.persons);
+    const std::uint32_t count = Scaled(kPersons);
     for (std::uint32_t i = 0; i < count; ++i) {
       const DomNodeId person = tree_.AppendChild(people, Tag("person"));
       tree_.AddAttribute(person, Tag("id"), "person" + std::to_string(i));
@@ -225,7 +241,7 @@ class Generator {
 
   void GenOpenAuctions(DomNodeId site) {
     const DomNodeId auctions = tree_.AppendChild(site, Tag("open_auctions"));
-    const std::uint32_t count = Scaled(options_.open_auctions);
+    const std::uint32_t count = Scaled(kOpenAuctions);
     for (std::uint32_t i = 0; i < count; ++i) {
       const DomNodeId auction =
           tree_.AppendChild(auctions, Tag("open_auction"));
@@ -242,7 +258,7 @@ class Generator {
         tree_.AddAttribute(
             personref, Tag("person"),
             "person" + std::to_string(rng_.NextBounded(
-                           std::max(1u, Scaled(options_.persons)))));
+                           std::max(1u, Scaled(kPersons)))));
         Leaf(bidder, "increase", 1, 1);
       }
       Leaf(auction, "current", 1, 1);
@@ -261,7 +277,7 @@ class Generator {
   void GenClosedAuctions(DomNodeId site) {
     const DomNodeId auctions =
         tree_.AppendChild(site, Tag("closed_auctions"));
-    const std::uint32_t count = Scaled(options_.closed_auctions);
+    const std::uint32_t count = Scaled(kClosedAuctions);
     for (std::uint32_t i = 0; i < count; ++i) {
       const DomNodeId auction =
           tree_.AppendChild(auctions, Tag("closed_auction"));
@@ -269,17 +285,17 @@ class Generator {
       tree_.AddAttribute(
           seller, Tag("person"),
           "person" + std::to_string(rng_.NextBounded(
-                         std::max(1u, Scaled(options_.persons)))));
+                         std::max(1u, Scaled(kPersons)))));
       const DomNodeId buyer = tree_.AppendChild(auction, Tag("buyer"));
       tree_.AddAttribute(
           buyer, Tag("person"),
           "person" + std::to_string(rng_.NextBounded(
-                         std::max(1u, Scaled(options_.persons)))));
+                         std::max(1u, Scaled(kPersons)))));
       const DomNodeId itemref = tree_.AppendChild(auction, Tag("itemref"));
       tree_.AddAttribute(
           itemref, Tag("item"),
           "item" + std::to_string(rng_.NextBounded(
-                       std::max(1u, Scaled(options_.items)))));
+                       std::max(1u, Scaled(kItems)))));
       Leaf(auction, "price", 1, 1);
       Leaf(auction, "date", 1, 1);
       Leaf(auction, "quantity", 1, 1);

@@ -24,25 +24,10 @@
 namespace navpath {
 
 struct XMarkOptions {
-  /// Scale factor (the paper sweeps 0.1 .. 2.0).
+  /// Scale factor (the paper sweeps 0.1 .. 2.0); element counts scale
+  /// XMark's published per-scale-1 proportions.
   double scale = 1.0;
   std::uint64_t seed = 42;
-
-  // Element counts at scale 1 (XMark's published proportions).
-  std::uint32_t items = 21750;
-  std::uint32_t persons = 25500;
-  std::uint32_t open_auctions = 12000;
-  std::uint32_t closed_auctions = 9750;
-  std::uint32_t categories = 1000;
-
-  // Structure probabilities (chosen to reproduce XMark's query
-  // selectivities: Q7 touches a large fraction of the document, Q15 a
-  // tiny one).
-  double description_is_parlist = 0.6;
-  double nested_parlist = 0.35;
-  double text_has_emph = 0.35;
-  double emph_has_keyword = 0.35;
-  double keyword_has_bold = 0.35;
 };
 
 /// Generates a document. The tree uses `tags` for interning and has order

@@ -3,11 +3,37 @@
 namespace navpath {
 namespace {
 
-void AppendEscaped(std::string_view text, bool escape, std::string* out) {
-  if (!escape) {
-    out->append(text);
+void SerializeNode(const DomTree& tree, DomNodeId id, std::string* out) {
+  const DomNode& n = tree.node(id);
+  const std::string& name = tree.TagName(id);
+  out->push_back('<');
+  out->append(name);
+  for (DomNodeId a = n.first_attr; a != kNilDomNode;
+       a = tree.node(a).next_sibling) {
+    out->push_back(' ');
+    out->append(tree.TagName(a));
+    out->append("=\"");
+    AppendEscapedXmlAttribute(tree.node(a).text, out);
+    out->push_back('"');
+  }
+  if (n.first_child == kNilDomNode && n.text.empty()) {
+    out->append("/>");
     return;
   }
+  out->push_back('>');
+  AppendEscapedXmlText(n.text, out);
+  for (DomNodeId c = n.first_child; c != kNilDomNode;
+       c = tree.node(c).next_sibling) {
+    SerializeNode(tree, c, out);
+  }
+  out->append("</");
+  out->append(name);
+  out->push_back('>');
+}
+
+}  // namespace
+
+void AppendEscapedXmlText(std::string_view text, std::string* out) {
   for (const char c : text) {
     switch (c) {
       case '&':
@@ -25,7 +51,7 @@ void AppendEscaped(std::string_view text, bool escape, std::string* out) {
   }
 }
 
-void AppendAttributeValue(std::string_view value, std::string* out) {
+void AppendEscapedXmlAttribute(std::string_view value, std::string* out) {
   for (const char c : value) {
     switch (c) {
       case '&':
@@ -43,56 +69,14 @@ void AppendAttributeValue(std::string_view value, std::string* out) {
   }
 }
 
-void SerializeNode(const DomTree& tree, DomNodeId id,
-                   const SerializeOptions& options, int depth,
-                   std::string* out) {
-  const DomNode& n = tree.node(id);
-  const std::string& name = tree.TagName(id);
-  if (options.indent) out->append(static_cast<std::size_t>(depth) * 2, ' ');
-  out->push_back('<');
-  out->append(name);
-  for (DomNodeId a = n.first_attr; a != kNilDomNode;
-       a = tree.node(a).next_sibling) {
-    out->push_back(' ');
-    out->append(tree.TagName(a));
-    out->append("=\"");
-    AppendAttributeValue(tree.node(a).text, out);
-    out->push_back('"');
-  }
-  if (n.first_child == kNilDomNode && n.text.empty()) {
-    out->append("/>");
-    if (options.indent) out->push_back('\n');
-    return;
-  }
-  out->push_back('>');
-  const bool has_children = n.first_child != kNilDomNode;
-  if (options.indent && has_children) out->push_back('\n');
-  AppendEscaped(n.text, options.escape_text, out);
-  for (DomNodeId c = n.first_child; c != kNilDomNode;
-       c = tree.node(c).next_sibling) {
-    SerializeNode(tree, c, options, depth + 1, out);
-  }
-  if (options.indent && has_children) {
-    out->append(static_cast<std::size_t>(depth) * 2, ' ');
-  }
-  out->append("</");
-  out->append(name);
-  out->push_back('>');
-  if (options.indent) out->push_back('\n');
-}
-
-}  // namespace
-
-std::string SerializeSubtree(const DomTree& tree, DomNodeId root,
-                             const SerializeOptions& options) {
+std::string SerializeSubtree(const DomTree& tree, DomNodeId root) {
   std::string out;
-  if (root != kNilDomNode) SerializeNode(tree, root, options, 0, &out);
+  if (root != kNilDomNode) SerializeNode(tree, root, &out);
   return out;
 }
 
-std::string SerializeXml(const DomTree& tree,
-                         const SerializeOptions& options) {
-  return SerializeSubtree(tree, tree.root(), options);
+std::string SerializeXml(const DomTree& tree) {
+  return SerializeSubtree(tree, tree.root());
 }
 
 }  // namespace navpath

@@ -3,21 +3,22 @@
 #define NAVPATH_XML_SERIALIZER_H_
 
 #include <string>
+#include <string_view>
 
 #include "xml/dom.h"
 
 namespace navpath {
 
-struct SerializeOptions {
-  bool indent = false;       // pretty-print with 2-space indentation
-  bool escape_text = true;   // escape &, <, > in character content
-};
-
 /// Serializes `tree` (or the subtree rooted at `root`) to XML text.
-std::string SerializeXml(const DomTree& tree,
-                         const SerializeOptions& options = {});
-std::string SerializeSubtree(const DomTree& tree, DomNodeId root,
-                             const SerializeOptions& options = {});
+std::string SerializeXml(const DomTree& tree);
+std::string SerializeSubtree(const DomTree& tree, DomNodeId root);
+
+/// Appends `text` as character content, escaping &, <, > (shared with
+/// the store's exporters).
+void AppendEscapedXmlText(std::string_view text, std::string* out);
+
+/// Appends an attribute value, escaping &, <, ".
+void AppendEscapedXmlAttribute(std::string_view value, std::string* out);
 
 }  // namespace navpath
 

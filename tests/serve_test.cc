@@ -392,11 +392,11 @@ TEST(ServeTest, ValidationRejectsMalformedConfiguration) {
 }
 
 TEST(ServeTest, ValidationRejectsTransactionsWithSharing) {
-  // WorkloadOptions.txn + enable_sharing must fail BOTH entry points —
-  // ValidateWorkloadOptions (covered in txn_test.cc) and the serving
-  // layer's ValidateServeOptions — with a descriptive InvalidArgument,
-  // and the serve-side rejection must fire before the generic
-  // sharing-under-external-admission message.
+  // WorkloadOptions.txn + enable_sharing must fail the serving layer's
+  // entry too — ValidateServeOptions ends in ValidateWorkloadOptions
+  // (covered in txn_test.cc) — with the descriptive InvalidArgument, and
+  // it must fire before the generic sharing-under-external-admission
+  // message.
   auto fixture = XMarkFixture::Create(0.002);
   ASSERT_TRUE(fixture.ok()) << fixture.status().ToString();
   XMarkFixture* fx = fixture->get();
@@ -414,8 +414,7 @@ TEST(ServeTest, ValidationRejectsTransactionsWithSharing) {
   ASSERT_FALSE(run.ok());
   ASSERT_TRUE(run.status().IsInvalidArgument()) << run.status().ToString();
   const std::string message = run.status().ToString();
-  EXPECT_NE(message.find("transactional serving"), std::string::npos)
-      << message;
+  EXPECT_NE(message.find("transaction"), std::string::npos) << message;
   EXPECT_NE(message.find("snapshot"), std::string::npos) << message;
 }
 

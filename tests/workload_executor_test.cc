@@ -5,6 +5,7 @@
 // the whole machinery must survive injected transient faults.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <iterator>
 #include <memory>
 #include <string>
@@ -467,48 +468,58 @@ TEST(WorkloadExecutorTest, ExternalAdmissionRejectsSharing) {
       << result.status().ToString();
 }
 
+/// The per-query fault-isolation workload: a victim query and two
+/// neighbors that never read the first page the victim reads alone.
+const std::string kVictim = "/site/people/person/email";
+const std::vector<std::string> kNeighbors = {"/site/regions//item",
+                                             "/site/regions//name"};
+
+/// The first page kVictim reads (XSchedule) that no kNeighbors query
+/// reads, on `clean`; kInvalidPageId if there is none.
+PageId VictimOnlyPage(XMarkFixture* clean) {
+  auto trace_of = [&](const std::string& query) {
+    std::vector<PageId> trace;
+    clean->db()->disk()->SetTrace(&trace);
+    auto run = clean->Run(query, PaperPlan(PlanKind::kXSchedule));
+    clean->db()->disk()->SetTrace(nullptr);
+    EXPECT_TRUE(run.ok()) << run.status().ToString();
+    return trace;
+  };
+  std::unordered_set<PageId> neighbor_pages;
+  for (const std::string& q : kNeighbors) {
+    for (const PageId page : trace_of(q)) neighbor_pages.insert(page);
+  }
+  for (const PageId page : trace_of(kVictim)) {
+    if (neighbor_pages.count(page) == 0) return page;
+  }
+  return kInvalidPageId;
+}
+
+/// A fixture whose one permanently bad page is VictimOnlyPage.
+Result<std::unique_ptr<XMarkFixture>> VictimFaultyFixture(PageId bad_page) {
+  FixtureOptions faulty_options;
+  faulty_options.db.faults.seed = 7;
+  faulty_options.db.faults.permanent_bad_pages = {bad_page};
+  return XMarkFixture::Create(0.005, faulty_options);
+}
+
 TEST(WorkloadExecutorTest, OneQuerysCorruptionDoesNotFailItsNeighbors) {
   // Per-query fault isolation: poison a page only one query reads and run
   // the three-query workload. The victim's own result carries the
   // Corruption status; its neighbors finish with exact answers and Run()
   // itself succeeds.
-  const std::string victim = "/site/people/person/email";
-  const std::vector<std::string> neighbors = {"/site/regions//item",
-                                              "/site/regions//name"};
-
   auto clean = XMarkFixture::Create(0.005);
   ASSERT_TRUE(clean.ok()) << clean.status().ToString();
-  auto trace_of = [&](const std::string& query) {
-    std::vector<PageId> trace;
-    (*clean)->db()->disk()->SetTrace(&trace);
-    auto run = (*clean)->Run(query, PaperPlan(PlanKind::kXSchedule));
-    (*clean)->db()->disk()->SetTrace(nullptr);
-    EXPECT_TRUE(run.ok()) << run.status().ToString();
-    return trace;
-  };
-  std::unordered_set<PageId> neighbor_pages;
-  for (const std::string& q : neighbors) {
-    for (const PageId page : trace_of(q)) neighbor_pages.insert(page);
-  }
-  PageId bad_page = kInvalidPageId;
-  for (const PageId page : trace_of(victim)) {
-    if (neighbor_pages.count(page) == 0) {
-      bad_page = page;
-      break;
-    }
-  }
+  const PageId bad_page = VictimOnlyPage(clean->get());
   ASSERT_NE(bad_page, kInvalidPageId);
 
-  std::vector<std::string> queries = {victim};
-  queries.insert(queries.end(), neighbors.begin(), neighbors.end());
+  std::vector<std::string> queries = {kVictim};
+  queries.insert(queries.end(), kNeighbors.begin(), kNeighbors.end());
   auto expected = RunWorkload(clean->get(), queries, PlanKind::kXSchedule,
                               WorkloadPolicy::kHybrid, 0);
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
 
-  FixtureOptions faulty_options;
-  faulty_options.db.faults.seed = 7;
-  faulty_options.db.faults.permanent_bad_pages = {bad_page};
-  auto faulty = XMarkFixture::Create(0.005, faulty_options);
+  auto faulty = VictimFaultyFixture(bad_page);
   ASSERT_TRUE(faulty.ok()) << faulty.status().ToString();
 
   auto survived = RunWorkload(faulty->get(), queries, PlanKind::kXSchedule,
@@ -525,6 +536,168 @@ TEST(WorkloadExecutorTest, OneQuerysCorruptionDoesNotFailItsNeighbors) {
               OrdersOf(expected->queries[i].nodes))
         << queries[i];
   }
+}
+
+/// A workload built around one failure exit, on its own fixture.
+struct ExitWorkload {
+  std::unique_ptr<XMarkFixture> fixture;
+  std::unique_ptr<TxnManager> txn;  // null for read-only workloads
+  WorkloadOptions options;
+  /// Adds the jobs; job `failing` must fail with `fails_with`, the rest
+  /// must succeed.
+  std::function<Status(WorkloadExecutor*)> add;
+  std::size_t failing = 0;
+  bool (Status::*fails_with)() const = nullptr;
+};
+
+/// A mixed workload on a fresh sf-0.002 fixture: a reader, the writers
+/// `writes` makes, and a second reader.
+Result<ExitWorkload> MixedExitWorkload(
+    std::function<std::vector<std::vector<WriteOp>>(NodeID root,
+                                                    TagRegistry* tags)>
+        writes) {
+  ExitWorkload w;
+  NAVPATH_ASSIGN_OR_RETURN(w.fixture, XMarkFixture::Create(0.002));
+  w.txn = std::make_unique<TxnManager>(w.fixture->db(),
+                                       w.fixture->mutable_doc());
+  w.options.stats = &w.fixture->stats();
+  w.options.collect_nodes = true;
+  w.options.txn = w.txn.get();
+  std::vector<std::vector<WriteOp>> ops =
+      writes(w.fixture->doc().root, w.fixture->db()->tags());
+  w.add = [ops](WorkloadExecutor* executor) -> Status {
+    NAVPATH_RETURN_NOT_OK(
+        executor->Add(kQueries[0], PaperPlan(PlanKind::kXSchedule)));
+    for (const std::vector<WriteOp>& writer : ops) {
+      NAVPATH_RETURN_NOT_OK(executor->AddWrite(writer));
+    }
+    return executor->Add(kQueries[1], PaperPlan(PlanKind::kXSchedule));
+  };
+  return w;
+}
+
+/// Runs `make`'s workload twice on one executor, checking that the
+/// failing job fails alone and that every charge is released at the end
+/// of each run; then checks that the reused executor's second run equals
+/// a fresh executor's run on a database with the same history (one
+/// identical run before it).
+void ExpectFailureExitReleasesCharges(
+    const std::function<Result<ExitWorkload>()>& make, const char* name) {
+  auto reused = make();
+  ASSERT_TRUE(reused.ok()) << name << ": " << reused.status().ToString();
+  WorkloadExecutor executor(reused->fixture->db(), reused->fixture->doc(),
+                            reused->options);
+  WorkloadResult second;
+  for (int run = 0; run < 2; ++run) {
+    ASSERT_TRUE(reused->add(&executor).ok()) << name;
+    auto result = executor.Run();
+    ASSERT_TRUE(result.ok()) << name << ": " << result.status().ToString();
+    EXPECT_EQ(executor.footprint_used(), 0u) << name << " run " << run;
+    EXPECT_EQ(executor.active_count(), 0u) << name << " run " << run;
+    for (std::size_t i = 0; i < result->queries.size(); ++i) {
+      const Status& status = result->queries[i].status;
+      if (i == reused->failing) {
+        EXPECT_TRUE((status.*reused->fails_with)())
+            << name << " job " << i << ": " << status.ToString();
+      } else {
+        EXPECT_TRUE(status.ok())
+            << name << " job " << i << ": " << status.ToString();
+      }
+    }
+    second = std::move(*result);
+  }
+
+  auto fresh = make();
+  ASSERT_TRUE(fresh.ok()) << name << ": " << fresh.status().ToString();
+  WorkloadResult again;
+  for (int run = 0; run < 2; ++run) {
+    WorkloadExecutor executor(fresh->fixture->db(), fresh->fixture->doc(),
+                              fresh->options);
+    ASSERT_TRUE(fresh->add(&executor).ok()) << name;
+    auto result = executor.Run();
+    ASSERT_TRUE(result.ok()) << name << ": " << result.status().ToString();
+    again = std::move(*result);
+  }
+  EXPECT_EQ(second.total_time, again.total_time) << name;
+  ASSERT_EQ(second.queries.size(), again.queries.size()) << name;
+  for (std::size_t i = 0; i < second.queries.size(); ++i) {
+    const WorkloadQueryResult& a = second.queries[i];
+    const WorkloadQueryResult& b = again.queries[i];
+    EXPECT_EQ(a.status.ToString(), b.status.ToString()) << name << " " << i;
+    EXPECT_EQ(a.count, b.count) << name << " job " << i;
+    EXPECT_EQ(OrdersOf(a.nodes), OrdersOf(b.nodes)) << name << " job " << i;
+    EXPECT_EQ(a.admitted_at, b.admitted_at) << name << " job " << i;
+    EXPECT_EQ(a.finished_at, b.finished_at) << name << " job " << i;
+    EXPECT_EQ(a.pulls, b.pulls) << name << " job " << i;
+    EXPECT_EQ(a.commit_seq, b.commit_seq) << name << " job " << i;
+    EXPECT_EQ(a.aborts, b.aborts) << name << " job " << i;
+  }
+}
+
+TEST(WorkloadExecutorTest, EveryFailureExitReleasesItsCharges) {
+  // A reader on a permanently bad page: its pull fails.
+  auto clean = XMarkFixture::Create(0.005);
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  const PageId bad_page = VictimOnlyPage(clean->get());
+  ASSERT_NE(bad_page, kInvalidPageId);
+  ExpectFailureExitReleasesCharges(
+      [&]() -> Result<ExitWorkload> {
+        ExitWorkload w;
+        NAVPATH_ASSIGN_OR_RETURN(w.fixture, VictimFaultyFixture(bad_page));
+        w.options.stats = &w.fixture->stats();
+        w.options.collect_nodes = true;
+        w.add = [](WorkloadExecutor* executor) -> Status {
+          NAVPATH_RETURN_NOT_OK(
+              executor->Add(kVictim, PaperPlan(PlanKind::kXSchedule)));
+          for (const std::string& q : kNeighbors) {
+            NAVPATH_RETURN_NOT_OK(
+                executor->Add(q, PaperPlan(PlanKind::kXSchedule)));
+          }
+          return Status::OK();
+        };
+        w.failing = 0;
+        w.fails_with = &Status::IsCorruption;
+        return w;
+      },
+      "pull error");
+
+  // A writer whose delete matches no child: its op fails.
+  ExpectFailureExitReleasesCharges(
+      [] {
+        auto w = MixedExitWorkload([](NodeID root, TagRegistry* tags) {
+          WriteOp op;
+          op.parent = root;
+          op.tag = tags->Intern("no_such_child");
+          op.kind = WriteOp::Kind::kDelete;
+          return std::vector<std::vector<WriteOp>>{{op}};
+        });
+        if (w.ok()) {
+          w->failing = 1;
+          w->fails_with = &Status::IsInvalidArgument;
+        }
+        return w;
+      },
+      "op error");
+
+  // Two writers racing on the root with no retry budget: the second
+  // committer runs out of retries.
+  ExpectFailureExitReleasesCharges(
+      [] {
+        auto w = MixedExitWorkload([](NodeID root, TagRegistry* tags) {
+          WriteOp op;
+          op.parent = root;
+          op.tag = tags->Intern("bid");
+          return std::vector<std::vector<WriteOp>>{{op}, {op}};
+        });
+        if (w.ok()) {
+          w->options.max_writers = 2;
+          w->options.writer_max_retries = 0;
+          w->failing = 2;
+          w->fails_with = &Status::IsAborted;
+        }
+        return w;
+      },
+      "retries exhausted");
 }
 
 TEST(WorkloadExecutorTest, RejectsMalformedOptionsAndDeadlines) {

@@ -13,7 +13,15 @@ rows, every row that was removed, added or changed:
     shard.sweep    rows keyed by shards
 
 A changed scalar field of a section (e.g. serve's mean_service_seconds)
-is named too. Exits 1 when the files differ as JSON, 0 when they are
+is named too. Every other section is walked field by field and named by
+dotted path (e.g. mixed.baseline.p95_seconds), with these nested row
+lists keyed like the sections above and their row fields flattened
+(e.g. on.seconds):
+
+    mixed.mixed.writer_sweep   rows keyed by writers/admission
+    summary.cases              rows keyed by name
+
+Exits 1 when the files differ as JSON, 0 when they are
 equal. It only locates a difference: `cmp` stays the byte-identity gate.
 """
 import json
@@ -43,6 +51,37 @@ ROW_SECTIONS = {
     "shard": ("shard.sweep", lambda s: s.get("sweep", []), ("shards",),
               "sweep"),
 }
+
+
+# dotted path of a row list nested in a section -> key fields
+NESTED_ROWS = {
+    "mixed.mixed.writer_sweep": ("writers", "admission"),
+    "summary.cases": ("name",),
+}
+
+
+def flatten(value, prefix=""):
+    """Maps the dotted path of every non-dict leaf below `value` to it."""
+    if not isinstance(value, dict):
+        return {prefix: value}
+    out = {}
+    for k, v in value.items():
+        out.update(flatten(v, prefix + "." + k if prefix else k))
+    return out
+
+
+def diff_nested(path, old, new):
+    """Names every changed field below `path`, and the changed rows of
+    the row lists in NESTED_ROWS."""
+    if path in NESTED_ROWS:
+        diff_rows(path, [flatten(r) for r in old or []],
+                  [flatten(r) for r in new or []], NESTED_ROWS[path])
+    elif isinstance(old, dict) and isinstance(new, dict):
+        for k in list(old) + [k for k in new if k not in old]:
+            if old.get(k) != new.get(k):
+                diff_nested(path + "." + k, old.get(k), new.get(k))
+    else:
+        print("  %s: changed field: %s -> %s" % (path, old, new))
 
 
 def rows_by_key(rows, keys):
@@ -88,6 +127,7 @@ def main():
         differs = True
         print("section differs: %s" % section)
         if section not in ROW_SECTIONS:
+            diff_nested(section, old.get(section), new.get(section))
             continue
         label, rows, keys, rows_field = ROW_SECTIONS[section]
         empty = [] if rows_field is None else {}
